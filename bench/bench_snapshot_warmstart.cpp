@@ -1,14 +1,17 @@
 // Measures what the persistent snapshot store buys and what it costs: a
 // cold SOR sweep (calibration + lowering + costing from nothing) against a
-// second process's warm start (snapshot load + variant-key lookups), plus
-// the fixed costs of the persistence layer itself — save time, load time,
-// and the offline `verify` integrity walk, with the snapshot's size on
-// disk.
+// second process's warm rerun end to end — snapshot load, variant-key
+// lookups, and the save a `--snapshot` run ends with, which a rerun that
+// found nothing new skips — plus the fixed costs of the persistence layer
+// itself: the full save, the load, and the offline `verify` integrity
+// walk, with the snapshot's size on disk.
 //
 //   bench_snapshot_warmstart [--smoke]
 //
 // --smoke shrinks the sweep for CI. Output is one JSON object, following
 // the bench-driver convention (BENCH_estimator_baseline.json et al.).
+// `warm_speedup_vs_cold` is the cold sweep over the whole warm rerun
+// (load + sweep + save); `warm_clean_save_seconds` is that rerun's save.
 //
 // "Second process" is simulated the honest way available inside one
 // binary: a fresh dse::Session constructed with snapshot_path, which runs
@@ -77,10 +80,11 @@ int main(int argc, char** argv) {
   }
 
   // Warm: a fresh session restores the snapshot in its constructor (the
-  // exact path a new tytra-cc process takes), then answers the same sweep
-  // from variant keys.
-  double load_seconds = 0, warm_seconds = 0;
+  // exact path a new tytra-cc process takes), answers the same sweep from
+  // variant keys, and saves back — a no-op, since it learned nothing.
+  double load_seconds = 0, warm_seconds = 0, clean_save_seconds = 0;
   std::uint64_t warm_variant_hits = 0, warm_misses = 0;
+  bool warm_wrote = true;
   {
     const double t0 = now_seconds();
     dse::Session session(so);
@@ -91,7 +95,16 @@ int main(int argc, char** argv) {
     warm_seconds = now_seconds() - t1;
     warm_variant_hits = result.cache_stats.variant_hits;
     warm_misses = result.cache_stats.misses;
+    const double t2 = now_seconds();
+    const auto written = session.save_snapshot({}, &warm_wrote);
+    clean_save_seconds = now_seconds() - t2;
+    if (!written.ok()) {
+      std::fprintf(stderr, "warm save failed: %s\n",
+                   written.error_message().c_str());
+      return 1;
+    }
   }
+  const double warm_total = load_seconds + warm_seconds + clean_save_seconds;
 
   // The offline integrity walk `tytra-cc cache verify` runs.
   const double t0 = now_seconds();
@@ -113,8 +126,9 @@ int main(int argc, char** argv) {
   std::printf("  \"save\": {\"seconds\": %g},\n", save_seconds);
   std::printf(
       "  \"warm\": {\"load_seconds\": %g, \"sweep_seconds\": %g, "
+      "\"save_seconds\": %g, \"total_seconds\": %g, "
       "\"variant_hits\": %llu, \"misses\": %llu},\n",
-      load_seconds, warm_seconds,
+      load_seconds, warm_seconds, clean_save_seconds, warm_total,
       static_cast<unsigned long long>(warm_variant_hits),
       static_cast<unsigned long long>(warm_misses));
   std::printf("  \"verify\": {\"seconds\": %g, \"mb_per_sec\": %g},\n",
@@ -122,10 +136,9 @@ int main(int argc, char** argv) {
               verify_seconds > 0
                   ? (static_cast<double>(snapshot_bytes) / 1e6) / verify_seconds
                   : 0.0);
+  std::printf("  \"warm_clean_save_seconds\": %g,\n", clean_save_seconds);
   std::printf("  \"warm_speedup_vs_cold\": %g\n",
-              (load_seconds + warm_seconds) > 0
-                  ? cold_seconds / (load_seconds + warm_seconds)
-                  : 0.0);
+              warm_total > 0 ? cold_seconds / warm_total : 0.0);
   std::printf("}\n");
 
   std::remove(snap_path.c_str());
@@ -135,6 +148,10 @@ int main(int argc, char** argv) {
                  "(hits=%llu misses=%llu)\n",
                  static_cast<unsigned long long>(warm_variant_hits),
                  static_cast<unsigned long long>(warm_misses));
+    return 1;
+  }
+  if (warm_wrote) {
+    std::fprintf(stderr, "the warm rerun rewrote an unchanged snapshot\n");
     return 1;
   }
   return 0;

@@ -119,6 +119,13 @@ class CostCache {
   [[nodiscard]] std::size_t variant_size() const;
   [[nodiscard]] std::size_t shard_count() const;
 
+  /// Monotonic mutation count: bumped by every insert that publishes a
+  /// new entry at either level (load() included) and by every clear(). An
+  /// insert that finds the entry already resident does not count, so an
+  /// unchanged generation means the cache holds exactly what it held —
+  /// what lets a session skip re-saving a snapshot it loaded.
+  [[nodiscard]] std::uint64_t generation() const;
+
   /// Drops every entry and resets the counters. NOT safe to run
   /// concurrently with cost() — entries are freed, and a lock-free reader
   /// could still be probing them. Debug builds enforce this: clear() with

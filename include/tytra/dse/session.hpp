@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -333,8 +334,21 @@ class Session {
 
   /// Atomically writes the session's cache entries, device calibrations
   /// and still-unclaimed restored calibrations to `path` (empty = the
-  /// options' snapshot_path). Returns bytes written.
-  Result<std::uint64_t> save_snapshot(const std::string& path = {});
+  /// options' snapshot_path). Returns the file's size in bytes.
+  ///
+  /// A save is a successful no-op when the session is *clean* with
+  /// respect to `path`: it loaded `path` into an empty session in this
+  /// process, the cache has published no entry and seen no clear() since
+  /// (CostCache::generation), no device was calibrated fresh (a new
+  /// device, a stale-fingerprint recalibration, or an explicit
+  /// add_device(name, db)), and the file still has the FileStamp it was
+  /// read with. The file then already holds everything the save would
+  /// write, up to the order of the calibration section, which no load
+  /// depends on. Otherwise the save renders and writes the full file
+  /// (tmp + fsync + rename + directory fsync). `wrote`, when non-null,
+  /// receives whether a write happened.
+  Result<std::uint64_t> save_snapshot(const std::string& path = {},
+                                      bool* wrote = nullptr);
 
  private:
   struct ResolvedJob {
@@ -355,6 +369,15 @@ class Session {
   /// The session pool sized for max_participants(), created on the first
   /// call that needs more than one participant; null for serial batches.
   ThreadPool* pool_for(std::uint32_t participants);
+  /// load_snapshot() over bytes already read from `path` (`bytes` may
+  /// carry the read's error), so the constructor's warm start opens the
+  /// file once.
+  Result<SnapshotStats> load_snapshot_bytes(const std::string& path,
+                                            Result<std::string> bytes,
+                                            const binio::FileStamp& stamp);
+  /// Adds to the device table without touching the clean state.
+  const cost::DeviceCostDb& insert_device(std::string name,
+                                          cost::DeviceCostDb db);
 
   SessionOptions options_;
   std::unique_ptr<CostCache> cache_;
@@ -371,6 +394,16 @@ class Session {
     cost::DeviceCostDb db;
   };
   std::map<std::string, RestoredCalibration, std::less<>> restored_;
+  /// The snapshot file the session still equals (see save_snapshot): its
+  /// path, the stamp it was read with, and the cache generation right
+  /// after the load. Unset until a load into an empty session succeeds;
+  /// reset by any fresh calibration or further load.
+  struct CleanSnapshot {
+    std::string path;
+    binio::FileStamp stamp;
+    std::uint64_t cache_generation{0};
+  };
+  std::optional<CleanSnapshot> clean_;
 };
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@
 // Writes are atomic: the container is rendered to `path + ".tmp"`, fsynced,
 // and renamed over `path` — a crash mid-save leaves either the complete old
 // snapshot or a stray .tmp, never a half-written file a later load trusts.
+// Reads are one open, one fstat and one sized read; the fstat also yields
+// the file's FileStamp, which lets a caller tell later whether the file it
+// read has been rewritten or replaced since.
 //
 // Encoder/Decoder are the typed byte streams inside a section payload. The
 // Decoder is bounds-checked and sticky-failing: any read past the end or
@@ -38,6 +41,7 @@
 // decode code can be written straight-line and checked once at the end.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,9 +60,37 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 /// bit flips and transposition, not an adversary.
 std::uint64_t checksum64(std::string_view bytes);
 
+/// The filesystem identity of a file's contents: device, inode, size and
+/// modification time. An atomic replace (new inode), a rewrite in place
+/// (new mtime) or a resize all change it; equal stamps mean the file has
+/// not been touched, to the resolution of the filesystem's timestamps.
+struct FileStamp {
+  std::uint64_t dev{0};
+  std::uint64_t ino{0};
+  std::uint64_t size{0};
+  std::int64_t mtime_sec{0};
+  std::int64_t mtime_nsec{0};
+
+  friend bool operator==(const FileStamp&, const FileStamp&) = default;
+};
+
+/// The stamp `path` has now; nullopt when it cannot be stat'ed (missing).
+std::optional<FileStamp> stat_file(const std::string& path);
+
+/// Reads the whole of the regular file `path` with one open, one fstat and
+/// one sized read. `stamp`, when non-null, receives the stamp of the
+/// descriptor that was read. `missing`, when non-null, is set to whether
+/// the open failed because the file does not exist (ENOENT) — the one
+/// failure a warm start treats as a normal first run.
+tytra::Result<std::string> read_file(const std::string& path,
+                                     FileStamp* stamp = nullptr,
+                                     bool* missing = nullptr);
+
 /// Appends typed fields to a byte buffer (a section payload).
 class Encoder {
  public:
+  /// Pre-sizes the buffer for `bytes` more bytes of fields.
+  void reserve(std::size_t bytes) { out_.reserve(out_.size() + bytes); }
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -150,6 +182,7 @@ class Writer {
 /// Reader you hold is a Reader whose every section is intact.
 class Reader {
  public:
+  /// read_file + from_bytes.
   static tytra::Result<Reader> open(const std::string& path);
   static tytra::Result<Reader> from_bytes(std::string bytes);
 

@@ -123,20 +123,19 @@ class AtomicTable {
 
   /// Publishes (key, check, value) unless an equal identity is already
   /// resident — another writer won the race, or the caller probed a
-  /// retired slot array — and returns the resident node either way.
-  const Node* insert(std::uint64_t key, std::uint64_t check, V&& value) {
+  /// retired slot array. Returns whether a new node was published.
+  bool insert(std::uint64_t key, std::uint64_t check, V&& value) {
     Shard& shard = shards_[key % shards_.size()];
     MutexLock lock(shard.mu);
     Slots* t = shard.live.load(std::memory_order_relaxed);
-    if (const Node* resident = probe(*t, key, check)) return resident;
+    if (probe(*t, key, check) != nullptr) return false;
     // Keep load factor under 70% so probe chains always end on a null.
     if ((shard.size + 1) * 10 > t->slot.size() * 7) t = grow(shard, t);
     shard.nodes.push_back(
         std::make_unique<Node>(Node{key, check, std::move(value)}));
-    Node* node = shard.nodes.back().get();
-    publish(*t, node);
+    publish(*t, shard.nodes.back().get());
     ++shard.size;
-    return node;
+    return true;
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -270,6 +269,11 @@ struct CostCache::Impl {
 
   Counter& counter(std::uint64_t key) { return counters[key % counters.size()]; }
 
+  /// Counts an insert toward generation() when it published a new entry.
+  void count_insert(bool published) {
+    if (published) ++generation;
+  }
+
   /// Structural-level lookup with the device fingerprint and digest
   /// already in hand, so callers that need them for their own bookkeeping
   /// (the variant-level insert) hash the device and walk the module once.
@@ -282,6 +286,9 @@ struct CostCache::Impl {
   AtomicTable<StructuralValue> structural;
   AtomicTable<VariantValue> variant;
   std::vector<Counter> counters;
+  /// See CostCache::generation(). Bumped only by publishing inserts and
+  /// clear(), never on the lock-free hit path.
+  std::atomic<std::uint64_t> generation{0};
 
 #ifndef NDEBUG
   /// Debug-build enforcement of the clear()/load() quiescence contract:
@@ -347,9 +354,9 @@ cost::CostReport CostCache::Impl::cost_structural(
   // memoization, never a lost or torn result: the report was already
   // computed, and an entry is only ever published whole.
   if (!failpoint::fire("cache.insert")) {
-    structural.insert(
+    count_insert(structural.insert(
         digest.key, digest.check,
-        Impl::StructuralValue{design_identity(module, dev), report});
+        Impl::StructuralValue{design_identity(module, dev), report}));
   }
   return report;
 }
@@ -409,8 +416,8 @@ cost::CostReport CostCache::cost(const frontend::Variant& variant,
   cost::CostReport report =
       impl_->cost_structural(module, db, dev, digest, &structural_hit);
   if (vk && !failpoint::fire("cache.insert")) {
-    impl_->variant.insert(full.key, full.check,
-                          Impl::VariantValue{digest, report});
+    impl_->count_insert(impl_->variant.insert(full.key, full.check,
+                                      Impl::VariantValue{digest, report}));
   }
   if (arena) arena->recycle(std::move(module));
   if (level) *level = structural_hit ? HitLevel::Structural : HitLevel::Miss;
@@ -435,10 +442,15 @@ std::size_t CostCache::shard_count() const {
   return impl_->structural.shard_count();
 }
 
+std::uint64_t CostCache::generation() const {
+  return impl_->generation.load();
+}
+
 void CostCache::clear() {
   impl_->require_quiescent("clear");
   impl_->structural.clear();
   impl_->variant.clear();
+  ++impl_->generation;
   for (Impl::Counter& c : impl_->counters) {
     c.hits.store(0, std::memory_order_relaxed);
     c.misses.store(0, std::memory_order_relaxed);
@@ -448,6 +460,22 @@ void CostCache::clear() {
 
 void CostCache::dump(binio::Encoder& structural_out,
                      binio::Encoder& variant_out) const {
+  // Pre-size both streams so a ~1 MB dump is written once instead of
+  // regrown by appends. Identity bytes are summed exactly; every report is
+  // sized like the first (they differ only in their name and per-function
+  // strings), plus an eighth for that variation.
+  std::size_t identity_bytes = 0;
+  std::size_t report_bytes = 0;
+  impl_->structural.for_each([&](const auto& node) {
+    identity_bytes += node.value.identity.size();
+    if (report_bytes != 0) return;
+    binio::Encoder probe;
+    cost::save_report(probe, node.value.report);
+    report_bytes = probe.bytes().size() * 9 / 8;
+  });
+  structural_out.reserve(identity_bytes + size() * (3 * 8 + report_bytes));
+  variant_out.reserve(variant_size() * (4 * 8 + report_bytes));
+
   impl_->structural.for_each([&](const auto& node) {
     structural_out.u64(node.key);
     structural_out.u64(node.check);
@@ -473,9 +501,9 @@ Result<CostCache::LoadCounts> CostCache::load(binio::Decoder& structural_in,
     std::string identity = structural_in.str();
     cost::CostReport report = cost::load_report(structural_in);
     if (!structural_in.ok()) break;
-    impl_->structural.insert(
+    impl_->count_insert(impl_->structural.insert(
         key, check,
-        Impl::StructuralValue{std::move(identity), std::move(report)});
+        Impl::StructuralValue{std::move(identity), std::move(report)}));
     ++counts.structural;
   }
   if (!structural_in.ok()) {
@@ -490,8 +518,8 @@ Result<CostCache::LoadCounts> CostCache::load(binio::Decoder& structural_in,
     design.check = variant_in.u64();
     cost::CostReport report = cost::load_report(variant_in);
     if (!variant_in.ok()) break;
-    impl_->variant.insert(key, check,
-                          Impl::VariantValue{design, std::move(report)});
+    impl_->count_insert(impl_->variant.insert(
+        key, check, Impl::VariantValue{design, std::move(report)}));
     ++counts.variant;
   }
   if (!variant_in.ok()) {

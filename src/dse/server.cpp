@@ -990,11 +990,15 @@ struct Server::Impl {
     }
     conns.clear();
 
-    // Step 6: persist the warm state for the next boot.
+    // Step 6: persist the warm state for the next boot. A session that
+    // learned nothing since it loaded the file leaves it untouched.
     if (!opts_.session.snapshot_path.empty()) {
-      const auto written = session_->save_snapshot();
+      bool wrote = false;
+      const auto written = session_->save_snapshot({}, &wrote);
       if (written.ok()) {
-        std::fprintf(stderr, "tytra-dsed: saved snapshot %s (%llu bytes)\n",
+        std::fprintf(stderr,
+                     wrote ? "tytra-dsed: saved snapshot %s (%llu bytes)\n"
+                           : "tytra-dsed: snapshot %s unchanged (%llu bytes)\n",
                      opts_.session.snapshot_path.c_str(),
                      static_cast<unsigned long long>(written.value()));
       } else {

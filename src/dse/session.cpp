@@ -548,10 +548,12 @@ Session::Session(SessionOptions options) : options_(std::move(options)) {
     // A missing file is a normal first run: cold-start silently, and the
     // eventual save_snapshot() creates it. Everything else that can be
     // wrong with the file surfaces as exactly one structured warning.
-    std::FILE* probe = std::fopen(options_.snapshot_path.c_str(), "rb");
-    if (probe != nullptr) {
-      std::fclose(probe);
-      const auto loaded = load_snapshot(options_.snapshot_path);
+    binio::FileStamp stamp;
+    bool missing = false;
+    auto bytes = binio::read_file(options_.snapshot_path, &stamp, &missing);
+    if (!missing) {
+      const auto loaded = load_snapshot_bytes(options_.snapshot_path,
+                                              std::move(bytes), stamp);
       if (!loaded.ok()) {
         std::fprintf(stderr,
                      "tytra: warning: snapshot-load path='%s' error='%s' "
@@ -573,16 +575,24 @@ const cost::DeviceCostDb& Session::add_device(const target::DeviceDesc& desc) {
   const auto it = restored_.find(desc.name);
   if (it != restored_.end()) {
     const bool fresh = it->second.fingerprint == device_fingerprint(desc);
+    if (!fresh) clean_.reset();
     cost::DeviceCostDb db = fresh ? std::move(it->second.db)
                                   : cost::DeviceCostDb::calibrate(desc);
     restored_.erase(it);
-    return add_device(desc.name, std::move(db));
+    return insert_device(desc.name, std::move(db));
   }
-  return add_device(desc.name, cost::DeviceCostDb::calibrate(desc));
+  clean_.reset();
+  return insert_device(desc.name, cost::DeviceCostDb::calibrate(desc));
 }
 
 const cost::DeviceCostDb& Session::add_device(std::string name,
                                               cost::DeviceCostDb db) {
+  clean_.reset();
+  return insert_device(std::move(name), std::move(db));
+}
+
+const cost::DeviceCostDb& Session::insert_device(std::string name,
+                                                 cost::DeviceCostDb db) {
   if (name.empty()) {
     throw std::invalid_argument("dse::Session: device name must be non-empty");
   }
@@ -611,10 +621,24 @@ std::string_view job_state_name(JobState state) {
 }
 
 Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
+  binio::FileStamp stamp;
+  auto bytes = binio::read_file(path, &stamp);
+  return load_snapshot_bytes(path, std::move(bytes), stamp);
+}
+
+Result<Session::SnapshotStats> Session::load_snapshot_bytes(
+    const std::string& path, Result<std::string> bytes,
+    const binio::FileStamp& stamp) {
+  // The session equals the file only when the file is all it holds.
+  const bool empty_before =
+      devices_.empty() && restored_.empty() &&
+      (!cache_ || (cache_->size() == 0 && cache_->variant_size() == 0));
+  clean_.reset();
   if (failpoint::fire("snapshot.load")) {
     return make_error("snapshot: injected fault at failpoint 'snapshot.load'");
   }
-  auto opened = binio::Reader::open(path);
+  if (!bytes.ok()) return bytes.diag();
+  auto opened = binio::Reader::from_bytes(std::move(bytes).take());
   if (!opened.ok()) return opened.diag();
   const binio::Reader reader = std::move(opened).take();
 
@@ -680,15 +704,30 @@ Result<Session::SnapshotStats> Session::load_snapshot(const std::string& path) {
       return make_error("snapshot: " + calib.error());
     }
   }
+  // A cache-less session drops the file's entries, so a save would not
+  // reproduce a file that has any.
+  const bool holds_file = cache_ || (reader.section(kSecStructural).empty() &&
+                                     reader.section(kSecVariant).empty());
+  if (empty_before && holds_file) {
+    clean_ = CleanSnapshot{path, stamp, cache_ ? cache_->generation() : 0};
+  }
   return stats;
 }
 
-Result<std::uint64_t> Session::save_snapshot(const std::string& path) {
+Result<std::uint64_t> Session::save_snapshot(const std::string& path,
+                                             bool* wrote) {
   const std::string& target = path.empty() ? options_.snapshot_path : path;
+  if (wrote) *wrote = false;
   if (target.empty()) {
     return make_error(
         "snapshot: no path given (set SessionOptions::snapshot_path or pass "
         "one explicitly)");
+  }
+  if (clean_ && clean_->path == target &&
+      (!cache_ || cache_->generation() == clean_->cache_generation)) {
+    // The file on disk is still the one loaded: nothing to write.
+    const auto now = binio::stat_file(target);
+    if (now && *now == clean_->stamp) return now->size;
   }
   if (failpoint::fire("snapshot.save")) {
     return make_error("snapshot: injected fault at failpoint 'snapshot.save'");
@@ -727,7 +766,9 @@ Result<std::uint64_t> Session::save_snapshot(const std::string& path) {
   }
   writer.add_section(kSecCalibration, calib.take());
 
-  return writer.write(target);
+  auto written = writer.write(target);
+  if (wrote) *wrote = written.ok();
+  return written;
 }
 
 Result<SnapshotSummary> verify_snapshot(const std::string& path) {

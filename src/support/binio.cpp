@@ -1,16 +1,13 @@
 #include "tytra/support/binio.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-
-#ifndef _WIN32
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/hash.hpp"
@@ -22,6 +19,10 @@ namespace {
 constexpr unsigned char kMagic[8] = {0x89, 'T', 'Y', 'C', 'S', 0x0d, 0x0a, 0x1a};
 constexpr std::uint32_t kEndianTag = 0x01020304;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 4 + 4 + 8;
+/// The header checksum field: the last 8 header bytes. The checksum covers
+/// the prefix before it, which checksum64_of needs to be whole words.
+constexpr std::size_t kChecksumOffset = kHeaderBytes - 8;
+static_assert(kChecksumOffset % 8 == 0);
 constexpr std::size_t kTableEntryBytes = 4 + 4 + 8 + 8 + 8;
 /// Sanity cap on the section count: the header is validated before the
 /// table is read, and no legitimate container is anywhere near this.
@@ -55,12 +56,9 @@ Diag corrupt(const std::string& what) {
   return make_error("snapshot container: " + what);
 }
 
-}  // namespace
-
-std::uint64_t checksum64(std::string_view bytes) {
-  // Word-at-a-time splitmix mixing, seeded with the length so "same bytes,
-  // different framing" cannot collide with a truncation.
-  std::uint64_t h = hash_mix(0x7459747261636b73ULL, bytes.size());
+/// Word-at-a-time splitmix mixing of `bytes` into `h`; a partial last word
+/// is zero-padded.
+std::uint64_t mix_words(std::uint64_t h, std::string_view bytes) {
   std::size_t i = 0;
   for (; i + 8 <= bytes.size(); i += 8) {
     std::uint64_t w;
@@ -73,6 +71,68 @@ std::uint64_t checksum64(std::string_view bytes) {
     h = hash_mix(h, w);
   }
   return h;
+}
+
+constexpr std::uint64_t kChecksumSeed = 0x7459747261636b73ULL;
+
+/// checksum64(head + tail) without building the concatenation. Exact only
+/// when `head` is whole words, so no padding falls between the two parts.
+std::uint64_t checksum64_of(std::string_view head, std::string_view tail) {
+  const std::uint64_t h =
+      hash_mix(kChecksumSeed, head.size() + tail.size());
+  return mix_words(mix_words(h, head), tail);
+}
+
+FileStamp stamp_of(const struct stat& st) {
+  return FileStamp{static_cast<std::uint64_t>(st.st_dev),
+                   static_cast<std::uint64_t>(st.st_ino),
+                   static_cast<std::uint64_t>(st.st_size),
+                   static_cast<std::int64_t>(st.st_mtim.tv_sec),
+                   static_cast<std::int64_t>(st.st_mtim.tv_nsec)};
+}
+
+}  // namespace
+
+std::uint64_t checksum64(std::string_view bytes) {
+  // Seeded with the length so "same bytes, different framing" cannot
+  // collide with a truncation.
+  return mix_words(hash_mix(kChecksumSeed, bytes.size()), bytes);
+}
+
+std::optional<FileStamp> stat_file(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return stamp_of(st);
+}
+
+tytra::Result<std::string> read_file(const std::string& path,
+                                     FileStamp* stamp, bool* missing) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (missing) *missing = fd < 0 && errno == ENOENT;
+  const auto fail = [&](const char* why) {
+    if (fd >= 0) ::close(fd);
+    return make_error("cannot read '" + path + "': " + why);
+  };
+  if (fd < 0) return fail(std::strerror(errno));
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return fail(std::strerror(errno));
+  if (!S_ISREG(st.st_mode)) return fail("not a regular file");
+  // Sized once from the fstat: no stream buffering, no growth copies. A
+  // file that shrinks under the read comes back short, and the container
+  // checks reject it like any other truncation.
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return fail(std::strerror(errno));
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
+  if (stamp) *stamp = stamp_of(st);
+  return bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -160,32 +220,36 @@ void Writer::add_section(std::uint32_t id, std::string payload) {
 }
 
 std::string Writer::render() const {
-  std::string table;
-  std::uint64_t offset =
-      kHeaderBytes + kTableEntryBytes * sections_.size();
-  for (const Section& s : sections_) {
-    put_u32(table, s.id);
-    put_u32(table, 0);
-    put_u64(table, offset);
-    put_u64(table, s.payload.size());
-    put_u64(table, checksum64(s.payload));
-    offset += s.payload.size();
-  }
+  const std::size_t table_bytes = kTableEntryBytes * sections_.size();
+  std::uint64_t total = kHeaderBytes + table_bytes;
+  for (const Section& s : sections_) total += s.payload.size();
 
   std::string out;
-  out.reserve(static_cast<std::size_t>(offset));
+  out.reserve(static_cast<std::size_t>(total));
   out.append(reinterpret_cast<const char*>(kMagic), sizeof kMagic);
   put_u32(out, kFormatVersion);
   put_u32(out, kEndianTag);
   put_u32(out, static_cast<std::uint32_t>(sections_.size()));
   put_u32(out, 0);
+  put_u64(out, 0);  // header checksum, filled in once the table is written
+  std::uint64_t offset = kHeaderBytes + table_bytes;
+  for (const Section& s : sections_) {
+    put_u32(out, s.id);
+    put_u32(out, 0);
+    put_u64(out, offset);
+    put_u64(out, s.payload.size());
+    put_u64(out, checksum64(s.payload));
+    offset += s.payload.size();
+  }
   // The header checksum covers the header prefix (everything before the
   // checksum field itself) plus the table, so no single corrupted bit in
   // the file can survive undetected: payload flips hit a section
   // checksum, table/header flips hit this one, magic/endianness flips
   // hit their dedicated checks.
-  put_u64(out, checksum64(out + table));
-  out += table;
+  const std::uint64_t header_checksum = checksum64_of(
+      std::string_view(out.data(), kChecksumOffset),
+      std::string_view(out.data() + kHeaderBytes, table_bytes));
+  std::memcpy(out.data() + kChecksumOffset, &header_checksum, 8);
   for (const Section& s : sections_) out += s.payload;
   return out;
 }
@@ -204,11 +268,9 @@ tytra::Result<std::uint64_t> Writer::write(const std::string& path) const {
   }
   const std::size_t wrote = std::fwrite(bytes.data(), 1, bytes.size(), f);
   bool ok = wrote == bytes.size() && std::fflush(f) == 0;
-#ifndef _WIN32
   // Durability half of atomicity: the payload must be on disk before the
   // rename publishes it, or a crash could publish a hole.
   if (ok) ok = ::fsync(::fileno(f)) == 0;
-#endif
   ok = (std::fclose(f) == 0) && ok;
   if (!ok) {
     std::remove(tmp.c_str());
@@ -220,7 +282,6 @@ tytra::Result<std::uint64_t> Writer::write(const std::string& path) const {
     return make_error("cannot rename '" + tmp + "' over '" + path +
                       "': " + why);
   }
-#ifndef _WIN32
   // Make the rename itself durable (directory entry update).
   const auto slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -231,7 +292,6 @@ tytra::Result<std::uint64_t> Writer::write(const std::string& path) const {
     ::fsync(dfd);
     ::close(dfd);
   }
-#endif
   return static_cast<std::uint64_t>(bytes.size());
 }
 
@@ -240,13 +300,9 @@ tytra::Result<std::uint64_t> Writer::write(const std::string& path) const {
 // ---------------------------------------------------------------------------
 
 tytra::Result<Reader> Reader::open(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return make_error("cannot read '" + path + "'");
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return from_bytes(std::move(ss).str());
+  auto bytes = read_file(path);
+  if (!bytes.ok()) return bytes.diag();
+  return from_bytes(std::move(bytes).take());
 }
 
 tytra::Result<Reader> Reader::from_bytes(std::string bytes) {
@@ -278,7 +334,7 @@ tytra::Result<Reader> Reader::from_bytes(std::string bytes) {
   if (count > kMaxSections) {
     return corrupt("implausible section count " + std::to_string(count));
   }
-  const std::uint64_t table_checksum = get_u64(d.data() + 24);
+  const std::uint64_t table_checksum = get_u64(d.data() + kChecksumOffset);
   const std::uint64_t table_bytes =
       static_cast<std::uint64_t>(kTableEntryBytes) * count;
   if (d.size() - kHeaderBytes < table_bytes) {
@@ -288,7 +344,8 @@ tytra::Result<Reader> Reader::from_bytes(std::string bytes) {
                                static_cast<std::size_t>(table_bytes));
   // Mirrors Writer::render: the checksum spans the header prefix and the
   // table together.
-  if (checksum64(d.substr(0, 24) + std::string(table)) != table_checksum) {
+  if (checksum64_of(std::string_view(d.data(), kChecksumOffset), table) !=
+      table_checksum) {
     return corrupt("header/section-table checksum mismatch");
   }
 

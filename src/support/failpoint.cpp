@@ -92,7 +92,7 @@ const std::vector<std::string>& known_names() {
       "server.accept",       // dse::Server accept loop
       "server.drain",        // dse::Server graceful drain (skips the wait)
       "snapshot.load",       // Session::load_snapshot
-      "snapshot.save",       // Session::save_snapshot
+      "snapshot.save",       // Session::save_snapshot, when it writes
       "workload.parse",      // kernels::load_file_workload
   };
   return names;

@@ -3,8 +3,8 @@
 // acceptance contracts live here: client output byte-identical to a
 // standalone run (wall-clock fields scrubbed), a second client answering
 // from the shared warm cache, snapshot persistence across daemon
-// restarts, graceful SIGTERM drain with exit 0, and fault containment
-// when the frame layer itself fails. Also covers the CLI-side SIGTERM
+// restarts (and no rewrite when nothing changed), graceful SIGTERM drain
+// with exit 0, and fault containment when the frame layer itself fails. Also covers the CLI-side SIGTERM
 // satellite: a standalone campaign interrupted by SIGTERM honors the
 // same exit-130 contract as SIGINT.
 
@@ -364,6 +364,45 @@ TEST(CliDaemon, WarmCacheAcrossClientsAndRestarts) {
   EXPECT_GT(variant_hits_of(warm.out), 0u)
       << "a rebooted daemon should be snapshot-warm: " << warm.out;
   EXPECT_EQ(reborn.terminate(), 0) << reborn.log();
+}
+
+// A daemon that learned nothing since boot leaves its snapshot alone on
+// shutdown, whether it served no request or only warm ones.
+TEST(CliDaemon, RestartWithoutNewWorkLeavesSnapshotUntouched) {
+  TempSnap snap("cli_daemon_clean");
+  const std::string campaign = "campaign --kernel sor --json";
+  {
+    Daemon d({"--snapshot", snap.path});
+    ASSERT_TRUE(d.wait_ready()) << d.log();
+    ASSERT_EQ(run_cc(campaign + " --server " + d.socket).exit_code, 0);
+    EXPECT_EQ(d.terminate(), 0) << d.log();
+    EXPECT_NE(d.log().find("saved snapshot " + snap.path), std::string::npos)
+        << d.log();
+  }
+  const std::string bytes = read_file(snap.path);
+  ASSERT_FALSE(bytes.empty());
+  struct stat before{};
+  ASSERT_EQ(::stat(snap.path.c_str(), &before), 0);
+  const std::string unchanged = "tytra-dsed: snapshot " + snap.path +
+                                " unchanged (" + std::to_string(bytes.size()) +
+                                " bytes)";
+
+  for (const bool warm_request : {false, true}) {
+    Daemon d({"--snapshot", snap.path});
+    ASSERT_TRUE(d.wait_ready()) << d.log();
+    if (warm_request) {
+      const RunResult warm = run_cc(campaign + " --server " + d.socket);
+      ASSERT_EQ(warm.exit_code, 0) << warm.err;
+      EXPECT_GT(variant_hits_of(warm.out), 0u) << warm.out;
+    }
+    EXPECT_EQ(d.terminate(), 0) << d.log();
+    EXPECT_NE(d.log().find(unchanged), std::string::npos) << d.log();
+    EXPECT_EQ(d.log().find("saved snapshot"), std::string::npos) << d.log();
+    struct stat after{};
+    ASSERT_EQ(::stat(snap.path.c_str(), &after), 0);
+    EXPECT_EQ(after.st_ino, before.st_ino) << "snapshot was rewritten";
+    EXPECT_EQ(read_file(snap.path), bytes);
+  }
 }
 
 TEST(CliDaemon, SigtermDrainsWithinBudgetAndUnlinksSocket) {

@@ -1,11 +1,13 @@
 // End-to-end tests of the snapshot surface of the real tytra-cc binary:
 // `--snapshot` warm starts (byte-identical output, variant-level hits in a
-// genuinely separate process), the `cache dump|load|inspect|verify`
+// genuinely separate process, an unchanged snapshot left untouched), the
+// `cache dump|load|inspect|verify`
 // subcommands, graceful degradation on every kind of corrupt snapshot, and
 // the unified error contract (malformed invocations exit nonzero with a
 // one-line stderr diagnostic and no stdout).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -183,6 +185,48 @@ TEST(CliSnapshot, FileWorkloadWarmStartByteIdentical) {
   EXPECT_EQ(json_int_field(warm.out, "misses"), 0) << warm.out;
 }
 
+/// The inode of `path` (0 when missing): an atomic save always lands on a
+/// new one, so an unchanged inode plus unchanged bytes means "not written".
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? st.st_ino : 0;
+}
+
+TEST(CliSnapshot, WarmRunsLeaveAnUnchangedSnapshotUntouched) {
+  TempSnap snap("clean_runs");
+  const std::string tail =
+      " --nd 16 --device fig15 --json --snapshot " + snap.path;
+  const RunResult warmup = run_cc("campaign --kernel sor" + tail);
+  ASSERT_EQ(warmup.exit_code, 0) << warmup.err;
+  const std::string pristine = read_file(snap.path);
+  const ino_t ino = inode_of(snap.path);
+  ASSERT_FALSE(pristine.empty());
+
+  for (const std::string cmd :
+       {"explore sor", "tune sor", "campaign --kernel sor"}) {
+    const RunResult warm = run_cc(cmd + tail);
+    ASSERT_EQ(warm.exit_code, 0) << cmd << ": " << warm.err;
+    EXPECT_EQ(read_file(snap.path), pristine) << cmd;
+    EXPECT_EQ(inode_of(snap.path), ino) << cmd << " rewrote the snapshot";
+  }
+
+  // A novel size is new work: the file is rewritten, and the next run
+  // answers that size from variant-key hits alone.
+  const std::string novel = "explore sor --nd 24" +
+                            tail.substr(tail.find(" --device"));
+  const RunResult first = run_cc(novel);
+  ASSERT_EQ(first.exit_code, 0) << first.err;
+  EXPECT_GT(json_int_field(first.out, "misses"), 0) << first.out;
+  EXPECT_NE(inode_of(snap.path), ino) << "new entries were not saved";
+  EXPECT_GT(read_file(snap.path).size(), pristine.size());
+  const RunResult again = run_cc(novel);
+  ASSERT_EQ(again.exit_code, 0) << again.err;
+  EXPECT_EQ(json_int_field(again.out, "misses"), 0) << again.out;
+  EXPECT_EQ(json_int_field(again.out, "variant_hits"),
+            json_int_field(first.out, "misses"))
+      << again.out;
+}
+
 // ---------------------------------------------------------------------------
 // cache subcommands
 // ---------------------------------------------------------------------------
@@ -214,6 +258,34 @@ TEST(CliSnapshot, CacheDumpVerifyInspectLoad) {
   EXPECT_EQ(load.exit_code, 0) << load.err;
   EXPECT_NE(load.out.find("loaded " + snap.path), std::string::npos)
       << load.out;
+}
+
+TEST(CliSnapshot, RepeatedCacheDumpReportsWhatTheFileHolds) {
+  // A repeat dump finds nothing new: the file is left as it was, and the
+  // report is byte-identical and still matches what the file holds.
+  TempSnap snap("cache_redump");
+  const std::string args =
+      "cache dump " + snap.path + " --kernel sor --kernel hotspot --nd 16";
+  const RunResult first = run_cc(args);
+  ASSERT_EQ(first.exit_code, 0) << first.err;
+  const std::string bytes = read_file(snap.path);
+  const ino_t ino = inode_of(snap.path);
+  const RunResult second = run_cc(args);
+  ASSERT_EQ(second.exit_code, 0) << second.err;
+  EXPECT_EQ(second.out, first.out);
+  EXPECT_EQ(read_file(snap.path), bytes);
+  EXPECT_EQ(inode_of(snap.path), ino);
+
+  const RunResult verify = run_cc("cache verify " + snap.path);
+  ASSERT_EQ(verify.exit_code, 0) << verify.err;
+  // "snapshot: wrote F (structural=S variant=V calibrations=C)" against
+  // "ok: F (structural=S variant=V calibrations=C)".
+  const auto counts = [](const std::string& line) {
+    const auto at = line.find("(structural=");
+    return at == std::string::npos ? std::string() : line.substr(at);
+  };
+  EXPECT_FALSE(counts(second.out).empty()) << second.out;
+  EXPECT_EQ(counts(verify.out), counts(second.out));
 }
 
 TEST(CliSnapshot, VerifyFailsNonzeroOnEveryInjectedCorruption) {

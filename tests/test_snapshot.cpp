@@ -3,13 +3,18 @@
 // are atomic), exact round-trips of cost reports, calibrated databases and
 // the two-level cost cache, and the Session snapshot path — warm starts
 // byte-identical to cold runs, every failure mode degrading to a cold
-// start, and the debug-build quiescence guard on CostCache::clear().
+// start, clean saves that leave an unchanged file alone (and every change
+// that forces a full write), and the debug-build quiescence guard on
+// CostCache::clear().
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -38,10 +43,12 @@ void write_file_bytes(const std::string& path, const std::string& bytes) {
 }
 
 /// A unique scratch path in the ctest working directory, removed on
-/// destruction.
+/// construction (a crashed earlier run may have left it) and destruction.
 struct TempPath {
   explicit TempPath(const std::string& tag)
-      : path(tag + "_" + std::to_string(counter()++) + ".snap") {}
+      : path(tag + "_" + std::to_string(counter()++) + ".snap") {
+    std::remove(path.c_str());
+  }
   ~TempPath() {
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
@@ -189,6 +196,44 @@ TEST(Binio, AtomicWriteReplacesAndLeavesNoTemp) {
   EXPECT_FALSE(r.value().has_section(1));
   std::ifstream leftover(tmp.path + ".tmp");
   EXPECT_FALSE(leftover.good()) << "atomic write left a .tmp file behind";
+}
+
+TEST(Binio, HeaderChecksumSpansHeaderPrefixAndTable) {
+  // Pins the container format: the header checksum is checksum64 over the
+  // 24 header bytes before it followed by the section table.
+  const std::string bytes = small_container().render();
+  const std::size_t table_bytes = 2 * (4 + 4 + 8 + 8 + 8);
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + 24, 8);
+  EXPECT_EQ(stored, binio::checksum64(bytes.substr(0, 24) +
+                                     bytes.substr(32, table_bytes)));
+}
+
+TEST(Binio, ReadFileStampsWhatItReadAndFlagsOnlyMissingFiles) {
+  TempPath tmp("binio_read");
+  const std::string bytes = small_container().render();
+  write_file_bytes(tmp.path, bytes);
+
+  binio::FileStamp stamp;
+  bool missing = true;
+  auto read = binio::read_file(tmp.path, &stamp, &missing);
+  ASSERT_TRUE(read.ok()) << read.error_message();
+  EXPECT_EQ(read.value(), bytes);
+  EXPECT_FALSE(missing);
+  EXPECT_EQ(stamp.size, bytes.size());
+  const auto now = binio::stat_file(tmp.path);
+  ASSERT_TRUE(now.has_value());
+  EXPECT_EQ(*now, stamp);
+
+  auto gone = binio::read_file(tmp.path + ".absent", nullptr, &missing);
+  EXPECT_FALSE(gone.ok());
+  EXPECT_TRUE(missing);
+  EXPECT_FALSE(binio::stat_file(tmp.path + ".absent").has_value());
+
+  // A directory exists, so it is not "missing": a warm start must warn.
+  auto dir = binio::read_file(".", nullptr, &missing);
+  EXPECT_FALSE(dir.ok());
+  EXPECT_FALSE(missing);
 }
 
 TEST(Binio, DecoderStickyFailureAndCountGuard) {
@@ -360,6 +405,41 @@ TEST(SnapshotCache, StructuralEntriesRoundTripAndHit) {
   EXPECT_EQ(cost::format_report(warm), cost::format_report(fresh));
 }
 
+TEST(SnapshotCache, GenerationCountsPublishedEntriesAndClears) {
+  const auto& db = preset_db("stratix-v-gsd8");
+  dse::Job job = registry_job("sor", 8);
+  const frontend::Variant variant = frontend::baseline_variant(job.n);
+
+  dse::CostCache cache;
+  EXPECT_EQ(cache.generation(), 0u);
+  (void)cache.cost(variant, *job.lower, db);
+  const std::uint64_t after_miss = cache.generation();
+  EXPECT_GT(after_miss, 0u);
+  // A hit publishes nothing.
+  (void)cache.cost(variant, *job.lower, db);
+  EXPECT_EQ(cache.generation(), after_miss);
+
+  // Loading publishes; loading the same entries again finds them resident.
+  binio::Encoder structural;
+  binio::Encoder variants;
+  cache.dump(structural, variants);
+  dse::CostCache second;
+  binio::Decoder s1(structural.bytes());
+  binio::Decoder v1(variants.bytes());
+  ASSERT_TRUE(second.load(s1, v1).ok());
+  const std::uint64_t after_load = second.generation();
+  EXPECT_GT(after_load, 0u);
+  binio::Decoder s2(structural.bytes());
+  binio::Decoder v2(variants.bytes());
+  ASSERT_TRUE(second.load(s2, v2).ok());
+  EXPECT_EQ(second.generation(), after_load);
+
+  // clear() always counts, even on an empty cache.
+  dse::CostCache empty;
+  empty.clear();
+  EXPECT_GT(empty.generation(), 0u);
+}
+
 TEST(SnapshotCache, CorruptDumpFailsLoadWithoutCrashing) {
   const auto& db = preset_db("stratix-v-gsd8");
   dse::Job job = registry_job("sor", 8);
@@ -386,6 +466,13 @@ TEST(SnapshotCache, CorruptDumpFailsLoadWithoutCrashing) {
 // Session snapshots: warm-start identity and graceful degradation
 // ---------------------------------------------------------------------------
 
+dse::SessionOptions warm_options(const std::string& path) {
+  dse::SessionOptions so;
+  so.num_threads = 1;
+  so.snapshot_path = path;
+  return so;
+}
+
 struct SweepRender {
   std::string sweep;
   std::string pareto;
@@ -395,10 +482,7 @@ struct SweepRender {
 SweepRender run_with_snapshot(const std::string& snapshot_path,
                               const char* workload, std::uint32_t nd,
                               const std::string& preset_name, bool save) {
-  dse::SessionOptions so;
-  so.num_threads = 1;
-  so.snapshot_path = snapshot_path;
-  dse::Session session(so);
+  dse::Session session(warm_options(snapshot_path));
   session.add_device(*target::preset(preset_name));
   dse::Job job = registry_job(workload, nd);
   job.device = target::preset(preset_name)->name;
@@ -558,6 +642,28 @@ TEST(SessionSnapshot, MissingSnapshotIsASilentColdStart) {
   EXPECT_EQ(fresh.sweep, plain.sweep);
 }
 
+TEST(SessionSnapshot, OnlyAMissingFileIsSilent) {
+  TempPath missing("session_silent");
+  ::testing::internal::CaptureStderr();
+  { dse::Session session(warm_options(missing.path)); }
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  // A path that exists but cannot be read as a file warns exactly once.
+  TempPath dir("session_dir");
+  ASSERT_EQ(::mkdir(dir.path.c_str(), 0755), 0);
+  ::testing::internal::CaptureStderr();
+  { dse::Session session(warm_options(dir.path)); }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::rmdir(dir.path.c_str());
+  EXPECT_EQ(err.rfind("tytra: warning: snapshot-load path='" + dir.path +
+                          "' error='",
+                      0),
+            0u)
+      << err;
+  EXPECT_NE(err.find("' action=cold-start\n"), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+}
+
 TEST(SessionSnapshot, VerifySnapshotAcceptsGoodRejectsCorrupt) {
   TempPath tmp("session_verify");
   (void)run_with_snapshot(tmp.path, "sor", 8, "stratix-v-gsd8", true);
@@ -572,6 +678,288 @@ TEST(SessionSnapshot, VerifySnapshotAcceptsGoodRejectsCorrupt) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   write_file_bytes(tmp.path, bytes);
   EXPECT_FALSE(dse::verify_snapshot(tmp.path).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Clean saves: a session that learned nothing since it loaded a file
+// leaves that file alone; every kind of change forces a full write.
+// ---------------------------------------------------------------------------
+
+/// A file's bytes plus the identity an atomic rewrite changes (a new
+/// inode) and an in-place write changes (the mtime).
+struct FileState {
+  std::string bytes;
+  ino_t ino{0};
+  timespec mtime{};
+};
+
+FileState file_state(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return FileState{read_file_bytes(path), st.st_ino, st.st_mtim};
+}
+
+void expect_untouched(const FileState& before, const std::string& path) {
+  const FileState now = file_state(path);
+  EXPECT_EQ(now.bytes, before.bytes) << path << " content changed";
+  EXPECT_EQ(now.ino, before.ino) << path << " was replaced";
+  EXPECT_EQ(now.mtime.tv_sec, before.mtime.tv_sec) << path << " was written";
+  EXPECT_EQ(now.mtime.tv_nsec, before.mtime.tv_nsec) << path << " was written";
+}
+
+dse::Job preset_job(const char* workload, std::uint32_t nd,
+                    const char* preset_name) {
+  dse::Job job = registry_job(workload, nd);
+  job.device = target::preset(preset_name)->name;
+  return job;
+}
+
+/// The restored calibration fingerprint stored under `name`, or 0.
+std::uint64_t stored_fingerprint(const std::string& path,
+                                 const std::string& name) {
+  auto summary = dse::verify_snapshot(path);
+  EXPECT_TRUE(summary.ok()) << summary.error_message();
+  if (!summary.ok()) return 0;
+  for (const auto& [device, fingerprint] : summary.value().calibrations) {
+    if (device == name) return fingerprint;
+  }
+  return 0;
+}
+
+TEST(SessionSnapshotClean, WarmRerunSaveLeavesTheFileUntouched) {
+  TempPath tmp("clean_rerun");
+  (void)run_with_snapshot(tmp.path, "sor", 8, "stratix-v-gsd8", true);
+  const FileState before = file_state(tmp.path);
+
+  dse::Session session(warm_options(tmp.path));
+  session.add_device(*target::preset("stratix-v-gsd8"));
+  const dse::DseResult result =
+      session.explore(preset_job("sor", 8, "stratix-v-gsd8"));
+  EXPECT_EQ(result.cache_stats.misses, 0u);
+  for (int rep = 0; rep < 2; ++rep) {
+    bool wrote = true;
+    const auto saved = session.save_snapshot({}, &wrote);
+    ASSERT_TRUE(saved.ok()) << saved.error_message();
+    EXPECT_FALSE(wrote) << "rep " << rep;
+    EXPECT_EQ(saved.value(), before.bytes.size());
+  }
+  expect_untouched(before, tmp.path);
+
+  // The run helper's warm rerun (explore + save) is clean as well.
+  (void)run_with_snapshot(tmp.path, "sor", 8, "stratix-v-gsd8", true);
+  expect_untouched(before, tmp.path);
+}
+
+TEST(SessionSnapshotClean, EveryChangeForcesAFullWriteTheNextLoadSees) {
+  TempPath base("clean_base");
+  (void)run_with_snapshot(base.path, "sor", 8, "stratix-v-gsd8", true);
+  const std::string good = read_file_bytes(base.path);
+  const auto good_summary = dse::verify_snapshot(base.path);
+  ASSERT_TRUE(good_summary.ok()) << good_summary.error_message();
+  const std::uint64_t stratix =
+      dse::device_fingerprint(*target::preset("stratix-v-gsd8"));
+
+  struct Case {
+    std::string name;
+    /// Acts on a session warm-started from `path`.
+    std::function<void(dse::Session&, const std::string& path)> change;
+    /// Checks what the next load of `path` sees.
+    std::function<void(const std::string& path)> check;
+  };
+  target::DeviceDesc edited = *target::preset("stratix-v-gsd8");
+  edited.dram_peak_bw *= 2.0;
+  const std::vector<Case> cases = {
+      {"insert",
+       [](dse::Session& s, const std::string&) {
+         s.add_device(*target::preset("stratix-v-gsd8"));
+         (void)s.explore(preset_job("sor", 12, "stratix-v-gsd8"));
+       },
+       [](const std::string& path) {
+         const SweepRender warm =
+             run_with_snapshot(path, "sor", 12, "stratix-v-gsd8", false);
+         EXPECT_EQ(warm.stats.misses, 0u);
+         EXPECT_GT(warm.stats.variant_hits, 0u);
+       }},
+      {"fresh calibration",
+       [](dse::Session& s, const std::string&) {
+         s.add_device(*target::preset("fig15"));
+       },
+       [](const std::string& path) {
+         const target::DeviceDesc fig15 = *target::preset("fig15");
+         EXPECT_EQ(stored_fingerprint(path, fig15.name),
+                   dse::device_fingerprint(fig15));
+       }},
+      {"stale calibration",
+       [&](dse::Session& s, const std::string&) { s.add_device(edited); },
+       [&](const std::string& path) {
+         EXPECT_EQ(stored_fingerprint(path, "stratix-v-gsd8"),
+                   dse::device_fingerprint(edited));
+       }},
+      {"explicit database",
+       [](dse::Session& s, const std::string&) {
+         cost::DeviceCostDb db = preset_db("fig15");
+         s.add_device("custom", std::move(db));
+       },
+       [](const std::string& path) {
+         EXPECT_NE(stored_fingerprint(path, "custom"), 0u);
+       }},
+      {"cache cleared",
+       [](dse::Session& s, const std::string&) { s.cache()->clear(); },
+       [&](const std::string& path) {
+         auto summary = dse::verify_snapshot(path);
+         ASSERT_TRUE(summary.ok()) << summary.error_message();
+         EXPECT_EQ(summary.value().structural_entries, 0u);
+         EXPECT_EQ(summary.value().variant_entries, 0u);
+         EXPECT_EQ(stored_fingerprint(path, "stratix-v-gsd8"), stratix);
+       }},
+      {"file deleted since the load",
+       [](dse::Session&, const std::string& path) {
+         std::remove(path.c_str());
+       },
+       [&](const std::string& path) {
+         EXPECT_EQ(read_file_bytes(path).size(), good.size());
+         const SweepRender warm =
+             run_with_snapshot(path, "sor", 8, "stratix-v-gsd8", false);
+         EXPECT_EQ(warm.stats.misses, 0u);
+       }},
+      {"file replaced since the load",
+       [&](dse::Session&, const std::string& path) {
+         // Same bytes, new inode: a concurrent writer's atomic save.
+         write_file_bytes(path + ".other", good);
+         ASSERT_EQ(std::rename((path + ".other").c_str(), path.c_str()), 0);
+       },
+       [&](const std::string& path) {
+         const SweepRender warm =
+             run_with_snapshot(path, "sor", 8, "stratix-v-gsd8", false);
+         EXPECT_EQ(warm.stats.misses, 0u);
+       }},
+      {"file rewritten in place since the load",
+       [](dse::Session&, const std::string& path) {
+         write_file_bytes(path, "not a snapshot any more");
+       },
+       [&](const std::string& path) {
+         EXPECT_EQ(read_file_bytes(path).size(), good.size());
+         const SweepRender warm =
+             run_with_snapshot(path, "sor", 8, "stratix-v-gsd8", false);
+         EXPECT_EQ(warm.stats.misses, 0u);
+       }},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    write_file_bytes(base.path, good);
+    dse::Session session(warm_options(base.path));
+    ASSERT_GT(session.cache()->variant_size(), 0u);
+    c.change(session, base.path);
+    // The inode the file has just before the save (none once deleted):
+    // an atomic write always lands on a different one.
+    struct stat st {};
+    const bool existed = ::stat(base.path.c_str(), &st) == 0;
+    bool wrote = false;
+    const auto saved = session.save_snapshot({}, &wrote);
+    ASSERT_TRUE(saved.ok()) << saved.error_message();
+    EXPECT_TRUE(wrote);
+    const FileState after = file_state(base.path);
+    if (existed) {
+      EXPECT_NE(after.ino, st.st_ino) << "not an atomic full write";
+    }
+    EXPECT_EQ(saved.value(), after.bytes.size());
+    c.check(base.path);
+  }
+}
+
+TEST(SessionSnapshotClean, UncleanLoadsAndOtherTargetsAlwaysWrite) {
+  TempPath base("clean_other");
+  (void)run_with_snapshot(base.path, "sor", 8, "stratix-v-gsd8", true);
+  const std::string good = read_file_bytes(base.path);
+  const auto good_summary = dse::verify_snapshot(base.path);
+  ASSERT_TRUE(good_summary.ok()) << good_summary.error_message();
+
+  // Another target path: written in full, with the loaded entries.
+  {
+    const FileState before = file_state(base.path);
+    TempPath other("clean_other_target");
+    dse::Session session(warm_options(base.path));
+    bool wrote = false;
+    ASSERT_TRUE(session.save_snapshot(other.path, &wrote).ok());
+    EXPECT_TRUE(wrote);
+    auto summary = dse::verify_snapshot(other.path);
+    ASSERT_TRUE(summary.ok()) << summary.error_message();
+    EXPECT_EQ(summary.value().structural_entries,
+              good_summary.value().structural_entries);
+    EXPECT_EQ(summary.value().variant_entries,
+              good_summary.value().variant_entries);
+    expect_untouched(before, base.path);
+  }
+
+  // A corrupt file degrades to cold; the cold session's save replaces it
+  // with a valid (empty) snapshot even though it did no work.
+  {
+    write_file_bytes(base.path, "definitely not a snapshot");
+    dse::Session session(warm_options(base.path));
+    bool wrote = false;
+    ASSERT_TRUE(session.save_snapshot({}, &wrote).ok());
+    EXPECT_TRUE(wrote);
+    auto summary = dse::verify_snapshot(base.path);
+    ASSERT_TRUE(summary.ok()) << summary.error_message();
+    EXPECT_EQ(summary.value().structural_entries, 0u);
+  }
+
+  // A cache-less session drops the file's entries on load, so its save
+  // is a full write (of no entries), not a skip.
+  {
+    write_file_bytes(base.path, good);
+    dse::SessionOptions so = warm_options(base.path);
+    so.enable_cache = false;
+    dse::Session session(so);
+    bool wrote = false;
+    ASSERT_TRUE(session.save_snapshot({}, &wrote).ok());
+    EXPECT_TRUE(wrote);
+    auto summary = dse::verify_snapshot(base.path);
+    ASSERT_TRUE(summary.ok()) << summary.error_message();
+    EXPECT_EQ(summary.value().structural_entries, 0u);
+  }
+
+  // A load into a session that already held entries: the file is no
+  // longer all the session holds.
+  {
+    write_file_bytes(base.path, good);
+    dse::SessionOptions so;
+    so.num_threads = 1;
+    dse::Session session(so);
+    session.add_device(*target::preset("fig15"));
+    (void)session.explore(preset_job("sor", 8, "fig15"));
+    ASSERT_TRUE(session.load_snapshot(base.path).ok());
+    bool wrote = false;
+    ASSERT_TRUE(session.save_snapshot(base.path, &wrote).ok());
+    EXPECT_TRUE(wrote);
+    auto summary = dse::verify_snapshot(base.path);
+    ASSERT_TRUE(summary.ok()) << summary.error_message();
+    EXPECT_GT(summary.value().variant_entries,
+              good_summary.value().variant_entries);
+  }
+}
+
+TEST(SessionSnapshotClean, SaveLoadSaveIsByteIdentical) {
+  // The container is rendered the same way it always was: a loaded
+  // snapshot saved elsewhere reproduces the original file byte for byte.
+  TempPath first("bytes_first");
+  TempPath second("bytes_second");
+  {
+    dse::Session session(warm_options(first.path));
+    session.add_device(*target::preset("stratix-v-gsd8"));
+    dse::Campaign campaign;
+    for (const char* workload : {"sor", "hotspot", "lavamd"}) {
+      campaign.jobs.push_back(preset_job(workload, 16, "stratix-v-gsd8"));
+    }
+    (void)session.run(campaign);
+    ASSERT_TRUE(session.save_snapshot().ok());
+  }
+  dse::Session session(warm_options(first.path));
+  ASSERT_TRUE(session.save_snapshot(second.path).ok());
+  const std::string a = read_file_bytes(first.path);
+  EXPECT_GT(a.size(), 1000u);
+  EXPECT_EQ(read_file_bytes(second.path), a);
 }
 
 // ---------------------------------------------------------------------------

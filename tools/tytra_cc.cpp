@@ -195,9 +195,11 @@ struct ExploreSpec {
   std::string server;
 };
 
-/// Saves the session snapshot when the spec asked for one. Failures are
-/// loud and nonzero: the user explicitly requested persistence, so a
-/// snapshot that cannot be written is an error, not a degradation.
+/// Saves the session snapshot when the spec asked for one. A run answered
+/// wholly from the snapshot it loaded leaves the file untouched (see
+/// Session::save_snapshot). Failures are loud and nonzero: the user
+/// explicitly requested persistence, so a snapshot that cannot be written
+/// is an error, not a degradation.
 int save_spec_snapshot(dse::Session& session, const ExploreSpec& spec) {
   if (spec.snapshot.empty()) return 0;
   const auto written = session.save_snapshot(spec.snapshot);
