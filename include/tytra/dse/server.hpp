@@ -11,7 +11,8 @@
 // Wire protocol (see ARCHITECTURE.md "Daemon & wire protocol"): frames
 // are length-prefixed JSON (support/framing.hpp, support/json.hpp). A
 // request is one object with "cmd" ∈ {explore, tune, campaign, list,
-// ping, shutdown} carrying the same fields the tytra-cc CLI accepts.
+// lint, ping, shutdown} carrying the same fields the tytra-cc CLI accepts
+// (the field table and the strict decoder live in dse/request.hpp).
 // Responses stream: one {"type":"job"} frame per completed job, then one
 // final {"type":"result"} (exit code + the byte-identical stdout a
 // standalone tytra-cc run would have printed) or {"type":"error"}.

@@ -439,6 +439,13 @@ namespace detail {
 std::vector<bool> skyline_keep(const std::vector<ParetoPoint>& candidates);
 }  // namespace detail
 
+/// The campaign's merged frontier over its jobs' per-sweep frontiers, in
+/// (job, enumeration) order — what Session::run stores in
+/// CampaignResult::pareto, for callers that assemble a CampaignResult from
+/// jobs run one at a time.
+std::vector<CampaignParetoPoint> merged_frontier(
+    const std::vector<CampaignJobResult>& jobs);
+
 /// Cross-device comparison table: one row per campaign job (workload,
 /// nd, device, variant count, best design). Deterministic — no wall
 /// times — so output is directly comparable across runs. A non-ok job's

@@ -14,25 +14,16 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
-#include <map>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "tytra/dse/explorer.hpp"
-#include "tytra/dse/tuner.hpp"
-#include "tytra/ir/lint.hpp"
-#include "tytra/kernels/file_workload.hpp"
-#include "tytra/kernels/lint_driver.hpp"
-#include "tytra/kernels/registry.hpp"
+#include "tytra/dse/request.hpp"
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/framing.hpp"
 #include "tytra/support/json.hpp"
 #include "tytra/support/thread_annotations.hpp"
-#include "tytra/target/device.hpp"
 
 // Implementation map (see the header for the model):
 //
@@ -51,48 +42,13 @@
 //
 // Output contract: every request is answered with the exact bytes (and
 // exit code) a standalone `tytra-cc` run of the same command would have
-// produced — the final frame's "stdout"/"stderr" fields ARE that run's
-// streams, composed from the same format_* renderers and banner
-// printf formats. Keep the two in sync with tools/tytra_cc.cpp.
+// produced. Both go through dse/request.hpp: the same decode/prepare/plan
+// steps, and the same renderers compose the final frame's "stdout" and
+// "stderr" fields.
 
 namespace tytra::dse {
 
 namespace {
-
-constexpr int kExitInterrupted = 130;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& name : target::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += name;
-  }
-  return out;
-}
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
-/// Same resolution ladder as the CLI: preset name, a preset's device
-/// name, or a .tgt file path (read from the daemon's filesystem).
-tytra::Result<target::DeviceDesc> resolve_device(const std::string& spec) {
-  if (auto p = target::preset(spec)) return *p;
-  for (const auto& name : target::preset_names()) {
-    if (auto p = target::preset(name); p && p->name == spec) return *p;
-  }
-  std::string text;
-  if (!read_file(spec, text)) {
-    return tytra::make_error("unknown device '" + spec + "' (presets: " +
-                             preset_list() + "; or a readable .tgt file)");
-  }
-  return target::parse_target(text);
-}
 
 /// format_*_json renderings end in '\n'; embedded as a frame field the
 /// value must stand alone.
@@ -132,16 +88,9 @@ struct Connection {
 struct RequestState {
   std::shared_ptr<Connection> conn;
   std::uint64_t req_id{0};
-  enum class Kind { Explore, Tune, CampaignRun } kind{Kind::Explore};
-  bool json{false};
-  bool pareto{false};
-  bool on_error_abort{true};
-  std::string kernel;  ///< explore/tune banner label
-  std::uint32_t nd{0};  ///< resolved dimension, for banners
-  std::vector<Job> jobs;
-  std::size_t kernel_count{0};  ///< campaign banner: kernels requested
-  std::size_t device_count{0};  ///< campaign banner: distinct devices
-  std::vector<CampaignJobResult> results;  ///< slot per job
+  Request request;
+  Plan plan;
+  std::vector<CampaignJobResult> results;  ///< campaign: slot per job
   std::vector<char> filled;
   std::size_t completed{0};
   CacheStats stats;
@@ -247,24 +196,24 @@ struct Server::Impl {
     return true;
   }
 
-  void send_error(Connection& c, std::uint64_t req_id, int exit_code,
-                  const std::string& message) {
-    std::ostringstream os;
-    os << "{\"type\": \"error\", \"req\": " << req_id
-       << ", \"exit\": " << exit_code << ", \"message\": \""
-       << json::escape(message) << "\"}";
-    send(c, os.str());
-  }
-
-  void send_result(Connection& c, std::uint64_t req_id, int exit_code,
-                   const std::string& out, const std::string& err = {}) {
-    std::ostringstream os;
-    os << "{\"type\": \"result\", \"req\": " << req_id
-       << ", \"exit\": " << exit_code << ", \"stdout\": \""
-       << json::escape(out) << "\"";
-    if (!err.empty()) os << ", \"stderr\": \"" << json::escape(err) << "\"";
-    os << "}";
-    send(c, os.str());
+  /// Sends a response the way the client prints it back: a failure with
+  /// no stdout as an "error" frame, anything else as a "result" frame
+  /// carrying both streams.
+  void respond(Connection& c, std::uint64_t req_id, const Response& r) {
+    const bool error = r.out.empty() && !r.diag.empty();
+    std::string frame = std::string("{\"type\": \"") +
+                        (error ? "error" : "result") + "\", \"req\": " +
+                        std::to_string(req_id) +
+                        ", \"exit\": " + std::to_string(r.exit);
+    if (error) {
+      frame += ", \"message\": \"" + json::escape(r.diag) + "\"";
+    } else {
+      frame += ", \"stdout\": \"" + json::escape(r.out) + "\"";
+      if (!r.diag.empty()) {
+        frame += ", \"stderr\": \"" + json::escape(r.err()) + "\"";
+      }
+    }
+    send(c, frame + "}");
   }
 
   void send_job_frame(RequestState& req, std::size_t index,
@@ -273,7 +222,7 @@ struct Server::Impl {
                       const std::string& payload_json) {
     std::ostringstream os;
     os << "{\"type\": \"job\", \"req\": " << req.req_id
-       << ", \"job\": " << index << ", \"jobs\": " << req.jobs.size()
+       << ", \"job\": " << index << ", \"jobs\": " << req.plan.jobs.size()
        << ", \"workload\": \"" << json::escape(jr.job.workload)
        << "\", \"nd\": " << jr.job.nd << ", \"device\": \""
        << json::escape(jr.job.device) << "\", \"status\": \""
@@ -312,9 +261,9 @@ struct Server::Impl {
         // A well-framed but malformed payload is answered in-band and the
         // connection survives — the client can fix its request and retry.
         frames_rejected_.fetch_add(1, std::memory_order_relaxed);
-        send_error(*conn, req_id, 2,
-                   parsed.ok() ? std::string("request: not a JSON object")
-                               : parsed.diag().message);
+        respond(*conn, req_id,
+                {2, {}, parsed.ok() ? "request: not a JSON object"
+                                    : parsed.diag().message});
         continue;
       }
       Unit unit;
@@ -336,7 +285,7 @@ struct Server::Impl {
         }
       }
       if (rejected) {
-        send_error(*conn, req_id, 1, "server is shutting down");
+        respond(*conn, req_id, {1, {}, "server is shutting down"});
         continue;
       }
       sched_cv_.notify_one();
@@ -360,64 +309,20 @@ struct Server::Impl {
 
   // ---- scheduler thread: setup ------------------------------------------
 
-  /// Registers request-supplied IR workloads. Idempotent per (name,
-  /// content): a name resubmitted with identical source is a no-op (the
-  /// normal case — every client ships its --ir files), different source
-  /// is an error (the registry cannot hold both).
-  std::string register_irs(const json::Value& request) {
-    const json::Value* irs = request.find("irs");
-    if (irs == nullptr) return {};
-    if (!irs->is_array()) return "request: \"irs\" must be an array";
-    for (const json::Value& ir : irs->elements()) {
-      if (!ir.is_object()) return "request: \"irs\" entries must be objects";
-      const auto name = ir.get_string("name");
-      const auto source = ir.get_string("source");
-      if (!name || !source) {
-        return "request: \"irs\" entries need \"name\" and \"source\"";
-      }
-      const auto it = ir_sources_.find(*name);
-      if (it != ir_sources_.end()) {
-        if (it->second != *source) {
-          return "ir workload '" + *name +
-                 "' is already registered with different content";
-        }
-        continue;
-      }
-      auto added = kernels::register_file_workload(
-          kernels::Registry::instance(), *name, *name, *source);
-      if (!added.ok()) return added.diag().message;
-      ir_sources_.emplace(*name, *source);
-    }
-    return {};
-  }
-
-  /// Resolves one device spec against the shared session's device table,
-  /// calibrating and adding it on first sight. Returns the resolved
-  /// device-table name, or an error message.
-  tytra::Result<std::string> ensure_device(const std::string& spec) {
-    auto device = resolve_device(spec);
-    if (!device.ok()) return device.diag();
-    const std::string& name = device.value().name;
-    if (session_->find_device(name) == nullptr) {
-      session_->add_device(device.value());
-    }
-    return name;
-  }
-
-  /// Validates and expands one admitted request into its job units. Any
-  /// validation failure is answered with the exact message a standalone
-  /// run would have printed after "tytra-cc: " (same exit code), so the
-  /// client's stderr is byte-identical.
+  /// Decodes, prepares and plans one request (dse/request.hpp — the same
+  /// steps a standalone run takes, so every failure is answered with the
+  /// message and exit code that run would have printed), then runs list
+  /// and lint at once and queues explore/tune/campaign as job units.
   void process_setup(const std::shared_ptr<Connection>& conn, Unit&& unit) {
-    const json::Value& request = unit.request;
-    const auto cmd = request.get_string("cmd");
-    if (!cmd) {
-      send_error(*conn, unit.req_id, 2, "request: missing \"cmd\"");
+    auto decoded = decode(unit.request);
+    if (!decoded.ok()) {
+      respond(*conn, unit.req_id, {2, {}, decoded.diag().message});
       return;
     }
     requests_.fetch_add(1, std::memory_order_relaxed);
+    Request& request = decoded.value();
 
-    if (*cmd == "ping") {
+    if (request.cmd == Command::Ping) {
       std::ostringstream os;
       os << "{\"type\": \"pong\", \"req\": " << unit.req_id
          << ", \"requests\": " << requests_.load(std::memory_order_relaxed)
@@ -428,221 +333,50 @@ struct Server::Impl {
       send(*conn, os.str());
       return;
     }
-    if (*cmd == "shutdown") {
-      send_result(*conn, unit.req_id, 0, "");
+    if (request.cmd == Command::Shutdown) {
+      respond(*conn, unit.req_id, {});
       signal_shutdown();
       return;
     }
-    if (*cmd == "list") {
-      if (const std::string err = register_irs(request); !err.empty()) {
-        send_error(*conn, unit.req_id, 1, err);
-        return;
-      }
-      const auto& reg = kernels::Registry::instance();
-      const bool json_out = request.get_bool("json").value_or(false);
-      send_result(*conn, unit.req_id, 0,
-                  json_out ? kernels::format_registry_json(reg)
-                           : kernels::format_registry(reg));
+    const auto prepared = prepare(request, ir_sources_);
+    if (!prepared.ok()) {
+      respond(*conn, unit.req_id, {1, {}, prepared.diag().message});
       return;
     }
-    if (*cmd == "lint") {
-      if (const std::string err = register_irs(request); !err.empty()) {
-        send_error(*conn, unit.req_id, 1, err);
-        return;
-      }
-      // One device (the CLI sends exactly one spec), resolved against the
-      // shared session table so a repeat lint reuses the calibration.
-      std::string device_spec = "stratix-v-gsd8";
-      if (const json::Value* devices = request.find("devices");
-          devices != nullptr && devices->is_array() &&
-          !devices->elements().empty() &&
-          devices->elements().front().is_string()) {
-        device_spec = devices->elements().front().str();
-      }
-      auto device_name = ensure_device(device_spec);
-      if (!device_name.ok()) {
-        send_error(*conn, unit.req_id, 1, device_name.diag().message);
-        return;
-      }
-      kernels::LintDriverOptions opts;
-      opts.db = session_->find_device(device_name.value());
-      if (const json::Value* targets = request.find("targets");
-          targets != nullptr && targets->is_array()) {
-        for (const json::Value& t : targets->elements()) {
-          if (t.is_string()) opts.targets.push_back(t.str());
-        }
-      }
-      opts.nd = request.get_u32("nd").value_or(0);
-      opts.json = request.get_bool("json").value_or(false);
-      opts.fail_on =
-          request.get_string("fail_on").value_or("error") == "warning"
-              ? ir::lint::FailOn::Warning
-              : ir::lint::FailOn::Error;
-      const kernels::LintDriverResult result =
-          kernels::run_lint_driver(kernels::Registry::instance(), opts);
-      if (!result.err.empty()) {
-        // The client renders "error" frames as `tytra-cc: <message>`,
-        // exactly what a standalone run prints on its failure paths.
-        send_error(*conn, unit.req_id, result.exit_code, result.err);
-      } else {
-        send_result(*conn, unit.req_id, result.exit_code, result.out);
-      }
+    auto planned = plan(request, *session_);
+    if (!planned.ok()) {
+      respond(*conn, unit.req_id, {1, {}, planned.diag().message});
       return;
     }
-    if (*cmd != "explore" && *cmd != "tune" && *cmd != "campaign") {
-      send_error(*conn, unit.req_id, 2, "request: unknown cmd '" + *cmd + "'");
+    if (request.cmd == Command::List || request.cmd == Command::Lint) {
+      respond(*conn, unit.req_id,
+              execute(request, planned.value(), *session_));
       return;
     }
 
-    if (const std::string err = register_irs(request); !err.empty()) {
-      send_error(*conn, unit.req_id, 1, err);
-      return;
-    }
-
-    const auto& registry = kernels::Registry::instance();
     auto req = std::make_shared<RequestState>();
     req->conn = conn;
     req->req_id = unit.req_id;
-    req->json = request.get_bool("json").value_or(false);
-    req->pareto = request.get_bool("pareto").value_or(false);
-    if (const auto policy = request.get_string("on_error")) {
-      req->on_error_abort = *policy != "continue";
-    }
-    const std::uint32_t max_lanes =
-        request.get_u32("max_lanes").value_or(16);
-    if (max_lanes == 0) {
-      send_error(*conn, unit.req_id, 1, "--max-lanes must be >= 1");
-      return;
-    }
-    const double deadline_seconds =
-        request.get_u32("deadline_ms").value_or(0) / 1000.0;
-
-    // Devices: resolve each spec, dedupe by resolved name, keep request
-    // order — the CLI's rule, against the shared device table.
-    std::vector<std::string> device_names;
-    std::vector<std::string> device_specs;
-    if (const json::Value* devices = request.find("devices");
-        devices != nullptr && devices->is_array()) {
-      for (const json::Value& d : devices->elements()) {
-        if (d.is_string()) device_specs.push_back(d.str());
-      }
-    }
-    if (device_specs.empty()) device_specs.emplace_back("stratix-v-gsd8");
-    for (const auto& spec : device_specs) {
-      auto name = ensure_device(spec);
-      if (!name.ok()) {
-        send_error(*conn, unit.req_id, 1, name.diag().message);
-        return;
-      }
-      if (std::find(device_names.begin(), device_names.end(), name.value()) ==
-          device_names.end()) {
-        device_names.push_back(name.value());
-      }
-    }
-
-    if (*cmd == "explore" || *cmd == "tune") {
-      const auto kernel = request.get_string("kernel");
-      if (!kernel) {
-        send_error(*conn, unit.req_id, 2, "request: missing \"kernel\"");
-        return;
-      }
-      const kernels::WorkloadInfo* info = registry.find(*kernel);
-      if (!info) {
-        send_error(*conn, unit.req_id, 1,
-                   "unknown kernel '" + *kernel + "' (" +
-                       registry.names_joined() + ")");
-        return;
-      }
-      const std::uint32_t nd =
-          request.get_u32("nd").value_or(info->default_nd);
-      auto job_r = registry.make_job(*kernel, nd);
-      if (!job_r.ok()) {
-        send_error(*conn, unit.req_id, 1, job_r.diag().message);
-        return;
-      }
-      Job job = std::move(job_r).take();
-      job.device = device_names.front();
-      job.max_lanes = max_lanes;
-      job.deadline_seconds = deadline_seconds;
-      job.cancel = &conn->cancel;
-      if (*cmd == "tune") {
-        job.max_steps =
-            static_cast<int>(request.get_u32("max_steps").value_or(12));
-      }
-      req->kind = *cmd == "tune" ? RequestState::Kind::Tune
-                                 : RequestState::Kind::Explore;
-      req->kernel = *kernel;
-      req->nd = nd;
-      req->jobs.push_back(std::move(job));
-    } else {
-      // Campaign: the {workload x size x device} fan-out, in the CLI's
-      // enumeration order. The client sends its kernel list explicitly
-      // (expanding "all registered" against ITS registry), so another
-      // client's IR registrations never leak into this campaign.
-      std::vector<std::string> kernels_to_run;
-      if (const json::Value* ks = request.find("kernels");
-          ks != nullptr && ks->is_array()) {
-        for (const json::Value& k : ks->elements()) {
-          if (k.is_string()) kernels_to_run.push_back(k.str());
-        }
-      }
-      if (kernels_to_run.empty()) kernels_to_run = registry.names();
-      std::vector<std::uint32_t> nds;
-      if (const json::Value* sizes = request.find("nds");
-          sizes != nullptr && sizes->is_array()) {
-        for (const json::Value& n : sizes->elements()) {
-          if (n.is_number()) {
-            nds.push_back(static_cast<std::uint32_t>(n.number()));
-          }
-        }
-      }
-      for (const auto& kernel : kernels_to_run) {
-        const kernels::WorkloadInfo* info = registry.find(kernel);
-        if (!info) {
-          send_error(*conn, unit.req_id, 1,
-                     "unknown kernel '" + kernel + "' (" +
-                         registry.names_joined() + ")");
-          return;
-        }
-        const std::vector<std::uint32_t> sizes =
-            nds.empty() ? std::vector<std::uint32_t>{info->default_nd} : nds;
-        for (const std::uint32_t nd : sizes) {
-          auto job_r = registry.make_job(kernel, nd);
-          if (!job_r.ok()) {
-            send_error(*conn, unit.req_id, 1, job_r.diag().message);
-            return;
-          }
-          for (const auto& device : device_names) {
-            Job job = job_r.value();
-            job.device = device;
-            job.max_lanes = max_lanes;
-            job.deadline_seconds = deadline_seconds;
-            job.cancel = &conn->cancel;
-            req->jobs.push_back(std::move(job));
-          }
-        }
-      }
-      req->kind = RequestState::Kind::CampaignRun;
-      req->kernel_count = kernels_to_run.size();
-      req->device_count = device_names.size();
-    }
-
-    req->results.resize(req->jobs.size());
-    req->filled.assign(req->jobs.size(), 0);
+    req->request = std::move(request);
+    req->plan = std::move(planned).take();
+    const std::size_t jobs = req->plan.jobs.size();
+    for (Job& job : req->plan.jobs) job.cancel = &conn->cancel;
+    req->results.resize(jobs);
+    req->filled.assign(jobs, 0);
 
     // Admission: the whole request queues or none of it does.
     bool admitted = false;
     {
       MutexLock lock(mu_);
-      if (conn->units.size() + req->jobs.size() <= opts_.queue_limit) {
-        for (std::size_t i = 0; i < req->jobs.size(); ++i) {
+      if (conn->units.size() + jobs <= opts_.queue_limit) {
+        for (std::size_t i = 0; i < jobs; ++i) {
           Unit ju;
           ju.req_id = unit.req_id;
           ju.req = req;
           ju.job_index = i;
           conn->units.push_back(std::move(ju));
         }
-        pending_units_ += req->jobs.size();
+        pending_units_ += jobs;
         if (!conn->in_rr && !conn->units.empty()) {
           rr_.push_back(conn);
           conn->in_rr = true;
@@ -651,9 +385,9 @@ struct Server::Impl {
       }
     }
     if (!admitted) {
-      send_error(*conn, unit.req_id, 1,
-                 "queue full (this connection already has pending jobs; "
-                 "limit " + std::to_string(opts_.queue_limit) + ")");
+      respond(*conn, unit.req_id,
+              {1, {}, "queue full (this connection already has pending jobs; "
+                      "limit " + std::to_string(opts_.queue_limit) + ")"});
     }
   }
 
@@ -670,76 +404,36 @@ struct Server::Impl {
   void process_job(const std::shared_ptr<RequestState>& req,
                    std::size_t index) {
     Connection& conn = *req->conn;
-    const Job& job = req->jobs[index];
+    const Request& request = req->request;
+    const Job& job = req->plan.jobs[index];
     const bool dead = draining_.load(std::memory_order_relaxed) ||
                       conn.cancel.cancelled();
 
-    if (req->kind == RequestState::Kind::Explore ||
-        req->kind == RequestState::Kind::Tune) {
-      const bool tune = req->kind == RequestState::Kind::Tune;
-      const char* verb = tune ? "tune" : "explore";
-      if (dead) {
-        jobs_degraded_.fetch_add(1, std::memory_order_relaxed);
-        send_error(conn, req->req_id, kExitInterrupted,
-                   std::string(verb) + " interrupted");
-        return;
-      }
-      try {
-        if (tune) {
-          const TuneResult result = session_->tune(job);
-          CampaignJobResult jr;
-          jr.job = job;
-          send_job_frame(*req, index, jr, "tune",
-                         chomp(format_tune_json(result)));
-          std::string out;
-          if (req->json) {
-            out = format_tune_json(result);
+    if (request.cmd != Command::Campaign) {
+      // explore / tune: one job, answered as soon as it finishes.
+      Response response = render_failure(request, CancelledError());
+      if (!dead) {
+        CampaignJobResult jr;
+        jr.job = job;
+        try {
+          if (request.cmd == Command::Tune) {
+            const TuneResult result = session_->tune(job);
+            send_job_frame(*req, index, jr, "tune",
+                           chomp(format_tune_json(result)));
+            response = render(request, req->plan, result);
           } else {
-            char head[256];
-            std::snprintf(head, sizeof head,
-                          "tuning %s on %s (nd=%u, %llu work-items)\n",
-                          req->kernel.c_str(), job.device.c_str(), req->nd,
-                          static_cast<unsigned long long>(job.n));
-            out = head;
-            out += format_tune(result);
+            const DseResult result = session_->explore(job);
+            send_job_frame(*req, index, jr, "sweep",
+                           chomp(format_sweep_json(result)));
+            response = render(request, req->plan, result);
           }
-          jobs_ok_.fetch_add(1, std::memory_order_relaxed);
-          send_result(conn, req->req_id, 0, out);
-        } else {
-          const DseResult result = session_->explore(job);
-          CampaignJobResult jr;
-          jr.job = job;
-          send_job_frame(*req, index, jr, "sweep",
-                         chomp(format_sweep_json(result)));
-          std::string out;
-          if (req->json) {
-            out = format_sweep_json(result);
-          } else {
-            char head[256];
-            std::snprintf(head, sizeof head,
-                          "exploring %s on %s: %zu variants in %.3f s\n",
-                          req->kernel.c_str(), job.device.c_str(),
-                          result.entries.size(), result.explore_seconds);
-            out = head;
-            out += format_sweep(result);
-            if (req->pareto) {
-              out += "\npareto frontier (EKIT vs utilization vs bandwidth "
-                     "share):\n";
-              out += format_pareto(result);
-            }
-          }
-          jobs_ok_.fetch_add(1, std::memory_order_relaxed);
-          send_result(conn, req->req_id, 0, out);
+        } catch (const std::exception& e) {
+          response = render_failure(request, e);
         }
-      } catch (const CancelledError&) {
-        jobs_degraded_.fetch_add(1, std::memory_order_relaxed);
-        send_error(conn, req->req_id, kExitInterrupted,
-                   std::string(verb) + " interrupted");
-      } catch (const std::exception& e) {
-        jobs_degraded_.fetch_add(1, std::memory_order_relaxed);
-        send_error(conn, req->req_id, 1,
-                   std::string(verb) + " failed: " + e.what());
       }
+      (response.exit == 0 ? jobs_ok_ : jobs_degraded_)
+          .fetch_add(1, std::memory_order_relaxed);
+      respond(conn, req->req_id, response);
       return;
     }
 
@@ -753,9 +447,7 @@ struct Server::Impl {
       req->interrupted = true;
     } else {
       try {
-        Campaign one;
-        one.jobs.push_back(job);
-        CampaignResult r = session_->run(one);
+        CampaignResult r = session_->run(Campaign{{job}});
         jr = std::move(r.jobs[0]);
         req->stats.hits += r.cache_stats.hits;
         req->stats.misses += r.cache_stats.misses;
@@ -775,76 +467,20 @@ struct Server::Impl {
                                   : std::string());
     req->results[index] = std::move(jr);
     req->filled[index] = 1;
-    if (++req->completed == req->jobs.size()) finalize_campaign(*req);
+    if (++req->completed == req->plan.jobs.size()) finalize_campaign(*req);
   }
 
   void finalize_campaign(RequestState& req) {
     CampaignResult out;
     for (std::size_t i = 0; i < req.results.size(); ++i) {
-      if (!req.filled[i]) req.results[i] = cancelled_result(req.jobs[i]);
+      if (!req.filled[i]) req.results[i] = cancelled_result(req.plan.jobs[i]);
       out.jobs.push_back(std::move(req.results[i]));
     }
     out.cache_stats = req.stats;
     out.campaign_seconds = req.seconds;
-
-    // Merged frontier over the per-job frontiers — Session::run's exact
-    // assembly, over the same candidates in the same order.
-    std::vector<ParetoPoint> candidates;
-    std::vector<CampaignParetoPoint> mapping;
-    for (std::size_t j = 0; j < out.jobs.size(); ++j) {
-      for (const ParetoPoint& p : out.jobs[j].result.pareto) {
-        candidates.push_back(p);
-        mapping.push_back(CampaignParetoPoint{j, p});
-      }
-    }
-    const std::vector<bool> keep = detail::skyline_keep(candidates);
-    for (std::size_t i = 0; i < mapping.size(); ++i) {
-      if (keep[i]) out.pareto.push_back(mapping[i]);
-    }
-
-    if (!req.interrupted && req.on_error_abort && out.degraded() > 0) {
-      for (const auto& jr : out.jobs) {
-        if (jr.status.ok()) continue;
-        std::ostringstream why;
-        why << "campaign: job '" << jr.job.workload << "' (nd=" << jr.job.nd
-            << ", " << jr.job.device << ") "
-            << job_state_name(jr.status.state) << ": " << jr.status.error
-            << " (use --on-error continue to keep surviving jobs)";
-        send_error(*req.conn, req.req_id, 1, why.str());
-        return;
-      }
-    }
-
-    std::string stdout_text;
-    if (req.json) {
-      stdout_text = format_campaign_json(out);
-    } else {
-      char head[160];
-      std::snprintf(head, sizeof head,
-                    "campaign: %zu jobs (%zu kernels x %zu device(s)) in "
-                    "%.3f s\n",
-                    out.jobs.size(), req.kernel_count, req.device_count,
-                    out.campaign_seconds);
-      stdout_text = head;
-      stdout_text += format_campaign(out);
-      if (req.pareto) {
-        stdout_text += "\nmerged pareto frontier across all jobs:\n";
-        stdout_text += format_campaign_pareto(out);
-      }
-    }
-    std::string stderr_text;
-    if (req.interrupted) {
-      std::size_t cancelled = 0;
-      for (const auto& jr : out.jobs) {
-        if (jr.status.state == JobState::Cancelled) ++cancelled;
-      }
-      std::ostringstream why;
-      why << "tytra-cc: campaign interrupted (" << cancelled << " of "
-          << out.jobs.size() << " jobs cancelled; completed results above)\n";
-      stderr_text = why.str();
-    }
-    send_result(*req.conn, req.req_id, req.interrupted ? kExitInterrupted : 0,
-                stdout_text, stderr_text);
+    out.pareto = merged_frontier(out.jobs);
+    respond(*req.conn, req.req_id,
+            render(req.request, req.plan, out, req.interrupted));
   }
 
   // ---- scheduler loop ----------------------------------------------------
@@ -1037,7 +673,7 @@ struct Server::Impl {
 
   /// Daemon-side IR registration memory: name -> source text, for the
   /// identical-content idempotency check. Scheduler thread only.
-  std::map<std::string, std::string> ir_sources_;
+  IrSources ir_sources_;
 
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> requests_{0};

@@ -19,6 +19,7 @@
 #include <tuple>
 
 #include "tytra/support/failpoint.hpp"
+#include "tytra/support/json.hpp"
 #include "tytra/support/strings.hpp"
 
 // This file IS the DSE engine: the batched parallel sweep, the tuner's
@@ -1053,25 +1054,31 @@ CampaignResult Session::run(const Campaign& campaign,
     out.jobs.push_back(std::move(jr));
   }
 
-  // Merged frontier over every job's per-sweep frontier. Restricting the
-  // candidates to per-job frontiers is lossless: a point dominated within
-  // its own sweep is dominated by one of that sweep's frontier points
-  // (dominance is a finite strict partial order), which competes here.
+  out.pareto = merged_frontier(out.jobs);
+  out.campaign_seconds = seconds_since(t0);
+  return out;
+}
+
+std::vector<CampaignParetoPoint> merged_frontier(
+    const std::vector<CampaignJobResult>& jobs) {
+  // Restricting the candidates to per-job frontiers is lossless: a point
+  // dominated within its own sweep is dominated by one of that sweep's
+  // frontier points (dominance is a finite strict partial order), which
+  // competes here.
   std::vector<ParetoPoint> candidates;
   std::vector<CampaignParetoPoint> mapping;
-  for (std::size_t j = 0; j < out.jobs.size(); ++j) {
-    for (const ParetoPoint& p : out.jobs[j].result.pareto) {
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    for (const ParetoPoint& p : jobs[j].result.pareto) {
       candidates.push_back(p);
       mapping.push_back(CampaignParetoPoint{j, p});
     }
   }
   const std::vector<bool> keep = detail::skyline_keep(candidates);
+  std::vector<CampaignParetoPoint> frontier;
   for (std::size_t i = 0; i < mapping.size(); ++i) {
-    if (keep[i]) out.pareto.push_back(mapping[i]);
+    if (keep[i]) frontier.push_back(mapping[i]);
   }
-
-  out.campaign_seconds = seconds_since(t0);
-  return out;
+  return frontier;
 }
 
 // ---------------------------------------------------------------------------
@@ -1143,28 +1150,6 @@ void json_num(std::ostream& os, double v) {
   os.precision(saved);
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void json_cache_stats(std::ostream& os, const CacheStats& s) {
   os << "{\"hits\": " << s.hits << ", \"misses\": " << s.misses
      << ", \"variant_hits\": " << s.variant_hits << "}";
@@ -1176,7 +1161,7 @@ void json_entry(std::ostream& os, const DseEntry& e) {
      << (e.report.valid ? "true" : "false") << ", \"ekit\": ";
   json_num(os, e.report.throughput.ekit);
   os << ", \"limiting\": \""
-     << json_escape(cost::wall_name(e.report.throughput.limiting))
+     << json::escape(cost::wall_name(e.report.throughput.limiting))
      << "\", \"util\": {\"regs\": ";
   json_num(os, u.regs);
   os << ", \"aluts\": ";
@@ -1323,8 +1308,8 @@ std::string format_tune_json(const TuneResult& result) {
        << (s.report.valid ? "true" : "false") << ", \"ekit\": ";
     json_num(os, s.report.throughput.ekit);
     os << ", \"limiting\": \""
-       << json_escape(cost::wall_name(s.report.throughput.limiting))
-       << "\", \"action\": \"" << json_escape(s.action) << "\"}";
+       << json::escape(cost::wall_name(s.report.throughput.limiting))
+       << "\", \"action\": \"" << json::escape(s.action) << "\"}";
   }
   os << "\n  ],\n  \"best\": ";
   if (result.best) {
@@ -1335,7 +1320,7 @@ std::string format_tune_json(const TuneResult& result) {
     // invalid design as best.
     os << "null";
   }
-  os << ",\n  \"verdict\": \"" << json_escape(result.verdict) << "\"\n}\n";
+  os << ",\n  \"verdict\": \"" << json::escape(result.verdict) << "\"\n}\n";
   return os.str();
 }
 
@@ -1345,12 +1330,12 @@ std::string format_campaign_json(const CampaignResult& result) {
   for (std::size_t j = 0; j < result.jobs.size(); ++j) {
     const auto& jr = result.jobs[j];
     os << (j ? ",\n" : "\n") << "      {\"workload\": \""
-       << json_escape(job_label(jr.job)) << "\", \"nd\": " << jr.job.nd
+       << json::escape(job_label(jr.job)) << "\", \"nd\": " << jr.job.nd
        << ", \"n\": " << jr.job.n << ", \"device\": \""
-       << json_escape(device_label(jr.job)) << "\", \"status\": \""
+       << json::escape(device_label(jr.job)) << "\", \"status\": \""
        << job_state_name(jr.status.state) << "\"";
     if (!jr.status.ok()) {
-      os << ", \"error\": \"" << json_escape(jr.status.error)
+      os << ", \"error\": \"" << json::escape(jr.status.error)
          << "\", \"evaluated\": " << jr.status.evaluated
          << ", \"faults\": " << jr.status.faults
          << ", \"skipped\": " << jr.status.skipped;
@@ -1364,8 +1349,8 @@ std::string format_campaign_json(const CampaignResult& result) {
     const auto& p = result.pareto[i];
     const auto& jr = result.jobs[p.job];
     os << (i ? ",\n" : "\n") << "      {\"job\": " << p.job
-       << ", \"workload\": \"" << json_escape(job_label(jr.job))
-       << "\", \"device\": \"" << json_escape(device_label(jr.job))
+       << ", \"workload\": \"" << json::escape(job_label(jr.job))
+       << "\", \"device\": \"" << json::escape(device_label(jr.job))
        << "\", ";
     // Reuse the per-sweep point shape for the point fields.
     std::ostringstream point;

@@ -2,9 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -14,6 +12,7 @@
 #include "tytra/ir/structural_hash.hpp"
 #include "tytra/ir/verifier.hpp"
 #include "tytra/kernels/streams.hpp"
+#include "tytra/support/binio.hpp"
 #include "tytra/support/failpoint.hpp"
 
 namespace tytra::kernels {
@@ -276,13 +275,10 @@ tytra::Result<const WorkloadInfo*> register_file_workload(
       existing != nullptr && existing->source == path) {
     return existing;  // the same path registered twice (e.g. repeated --ir)
   }
-  std::ifstream in(path);
-  if (!in) {
-    return tytra::make_error("cannot read '" + path + "'");
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return register_file_workload(reg, path, path, ss.str(), lint_out);
+  auto text = binio::read_file(path);
+  if (!text.ok()) return text.diag();
+  return register_file_workload(reg, path, path, std::move(text).take(),
+                                lint_out);
 }
 
 }  // namespace tytra::kernels

@@ -410,6 +410,42 @@ TEST(Server, MalformedRequestsKeepTheConnection) {
   EXPECT_EQ(harness.server->stats().frames_rejected, 2u);
 }
 
+// A present-but-invalid field is a typed error (exit 2), never a silent
+// default that runs a design nobody asked for; the connection survives.
+TEST(Server, InvalidFieldsAreTypedErrorsAndTheConnectionSurvives) {
+  const std::string socket = unique_socket();
+  ServerHarness harness(options_for(socket));
+  TestClient client(socket);
+  const struct {
+    const char* frame;
+    const char* message;
+  } cases[] = {
+      {R"({"cmd": "explore", "kernel": "sor", "nd": -5})",
+       R"(request: "nd" must be an unsigned integer)"},
+      {R"({"cmd": "explore", "kernel": "sor", "max_lanes": "zero"})",
+       R"(request: "max_lanes" must be an unsigned integer)"},
+      {R"({"cmd": "campaign", "kernels": ["sor"], "nds": [6.7]})",
+       R"(request: "nds" must be an array of unsigned integers)"},
+      {R"({"cmd": "campaign", "kernels": ["sor"], "nds": ["x"]})",
+       R"(request: "nds" must be an array of unsigned integers)"},
+      {R"({"cmd": "tune", "kernel": "sor", "max_steps": 4294967295})",
+       R"(request: "max_steps" must be an unsigned integer <= 10000)"},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(client.send(c.frame)) << c.frame;
+    const auto frames = client.collect();
+    ASSERT_EQ(frames.size(), 1u) << c.frame;
+    EXPECT_EQ(frames[0].get_string("type").value_or(""), "error") << c.frame;
+    EXPECT_EQ(frames[0].get_u32("exit").value_or(0), 2u) << c.frame;
+    EXPECT_EQ(frames[0].get_string("message").value_or(""), c.message);
+  }
+  ASSERT_TRUE(client.send(R"({"cmd": "ping"})"));
+  const auto frames = client.collect();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].get_string("type").value_or(""), "pong");
+  EXPECT_EQ(harness.server->stats().jobs_ok, 0u);
+}
+
 TEST(Server, UnknownKernelGetsStandaloneError) {
   const std::string socket = unique_socket();
   ServerHarness harness(options_for(socket));
