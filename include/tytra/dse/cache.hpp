@@ -18,12 +18,14 @@
 //     key-less lowerers) the variant is lowered and the lookup keys on
 //     the device fingerprint plus the streamed 128-bit structural digest
 //     of the module (`ir::structural_digest`) — the authoritative design
-//     identity, independent of which lowerer produced the module. The
-//     full identity text (printed IR + device fingerprint) is
-//     materialized only on first insert as the collision fallback /
-//     audit record. Debug builds cross-check the two levels: every
-//     variant-key hit re-lowers and verifies the structural digest the
-//     key was first inserted under.
+//     identity, independent of which lowerer produced the module. That
+//     (device, digest) pair is the whole identity: entries hold only
+//     their report, and no IR is printed or stored. Debug builds
+//     cross-check both levels: every variant-key hit re-lowers and
+//     verifies the structural digest the key was first inserted under,
+//     and every structural hit on an entry this process computed
+//     byte-compares the probe's printed IR with the text kept at insert
+//     (snapshot-restored entries carry none).
 //
 // Reads are lock-free: each level is a sharded open-addressed table whose
 // slots hold atomically published pointers to immutable entries, so N
@@ -95,10 +97,9 @@ class CostCache {
   /// `db`, or runs the cost model and remembers the result. Safe to call
   /// concurrently; the read path takes no lock. Lookups verify the full
   /// 128-bit digest, so a 64-bit key collision degrades to a
-  /// recomputation instead of returning another design's report, and hits
-  /// never materialize the printed IR. When `was_hit` is non-null it
-  /// receives this lookup's outcome (for per-sweep accounting independent
-  /// of the global counters).
+  /// recomputation instead of returning another design's report. When
+  /// `was_hit` is non-null it receives this lookup's outcome (for
+  /// per-sweep accounting independent of the global counters).
   cost::CostReport cost(const ir::Module& module, const cost::DeviceCostDb& db,
                         bool* was_hit = nullptr);
 
@@ -135,10 +136,11 @@ class CostCache {
   /// Serializes every entry of each level into a snapshot payload stream
   /// (entries back to back until the end of the payload; no count prefix,
   /// so a dump concurrent with inserts is merely a consistent-at-lock
-  /// sample). Keys are stored as-is — the device fingerprint is already
-  /// folded in, which is what makes persisted entries self-invalidating:
-  /// after a device or digest-scheme change the old keys are simply never
-  /// probed.
+  /// sample). A structural entry is (key, check, report); a variant entry
+  /// is (key, check, design digest, report). Keys are stored as-is — the
+  /// device fingerprint is already folded in, which is what makes
+  /// persisted entries self-invalidating: after a device or digest-scheme
+  /// change the old keys are simply never probed.
   void dump(binio::Encoder& structural_out, binio::Encoder& variant_out) const;
 
   /// Entry counts restored by load().

@@ -9,11 +9,14 @@
 #include <thread>
 #include <vector>
 
-#include "tytra/ir/printer.hpp"
 #include "tytra/ir/structural_hash.hpp"
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/hash.hpp"
 #include "tytra/support/thread_annotations.hpp"
+
+#ifndef NDEBUG
+#include "tytra/ir/printer.hpp"
+#endif
 
 namespace tytra::dse {
 
@@ -58,17 +61,6 @@ ir::StructuralDigest design_digest(const ir::Module& module,
   const ir::StructuralDigest structure = ir::structural_digest(module);
   return {HashBuilder{}.u64(dev).u64(structure.key).value(),
           HashBuilder{}.u64(dev).u64(structure.check).value()};
-}
-
-/// The human-auditable identity text of an entry, materialized only when
-/// an entry is first inserted (never on the lookup path): the printed IR
-/// — the canonical structural identity the digest condenses — plus the
-/// device fingerprint.
-std::string design_identity(const ir::Module& module, std::uint64_t dev) {
-  std::string identity = ir::print_module(module);
-  identity += '\x1f';
-  identity += std::to_string(dev);
-  return identity;
 }
 
 }  // namespace
@@ -238,15 +230,17 @@ class AtomicTable {
 }  // namespace
 
 struct CostCache::Impl {
-  /// Structural-level entry: the ground-truth identity record.
+  /// Structural-level entry: the memoized report. Its identity is the
+  /// (device ⊕ structural digest) pair the table keys on; nothing else is
+  /// stored or persisted.
   struct StructuralValue {
-    /// Full identity text (printed IR + device fingerprint), built once
-    /// on insert: the byte-level ground truth the digest condenses.
-    /// Debug builds verify it on every hit; release lookups never read
-    /// it, keeping hits allocation-free at ~1 printed module of memory
-    /// per cached design.
-    std::string identity;
     cost::CostReport report;
+#ifndef NDEBUG
+    /// Debug builds only: the printed IR of a design this process
+    /// computed, byte-compared against the probe on every hit. Entries
+    /// restored from a snapshot carry none (empty).
+    std::string identity{};
+#endif
   };
 
   /// Variant-level entry: the design digest it was inserted under (the
@@ -274,12 +268,11 @@ struct CostCache::Impl {
     if (published) ++generation;
   }
 
-  /// Structural-level lookup with the device fingerprint and digest
-  /// already in hand, so callers that need them for their own bookkeeping
-  /// (the variant-level insert) hash the device and walk the module once.
+  /// Structural-level lookup with the (device-seeded) digest already in
+  /// hand, so callers that need it for their own bookkeeping (the
+  /// variant-level insert) hash the device and walk the module once.
   cost::CostReport cost_structural(const ir::Module& module,
                                    const cost::DeviceCostDb& db,
-                                   std::uint64_t dev,
                                    const ir::StructuralDigest& digest,
                                    bool* was_hit);
 
@@ -331,12 +324,15 @@ CostCache::~CostCache() = default;
 
 cost::CostReport CostCache::Impl::cost_structural(
     const ir::Module& module, const cost::DeviceCostDb& db,
-    std::uint64_t dev, const ir::StructuralDigest& digest, bool* was_hit) {
+    const ir::StructuralDigest& digest, bool* was_hit) {
   if (const auto* node = structural.find(digest.key, digest.check)) {
-    // Debug builds exercise the byte-level fallback the digest condenses:
-    // a digest match must mean byte-identical identity text. Release hits
-    // never materialize the probe's identity.
-    assert(node->value.identity == design_identity(module, dev));
+#ifndef NDEBUG
+    // Debug builds audit the digest against the IR it condenses: a digest
+    // match on an entry this process computed must mean byte-identical
+    // printed IR. Restored entries carry no text to compare.
+    assert(node->value.identity.empty() ||
+           node->value.identity == ir::print_module(module));
+#endif
     counter(digest.key).hits.fetch_add(1, std::memory_order_relaxed);
     if (was_hit) *was_hit = true;
     return node->value.report;
@@ -348,15 +344,16 @@ cost::CostReport CostCache::Impl::cost_structural(
   // built once and shared across every model stage.
   const ir::AnalysisSummary summary = ir::summarize(module);
   cost::CostReport report = cost::cost_design(module, db, summary);
-  // First insert materializes the identity text (collision fallback /
-  // audit record); hits never do. A failed insert (the `cache.insert`
-  // failpoint stands in for allocation/grow failure) degrades to a lost
-  // memoization, never a lost or torn result: the report was already
-  // computed, and an entry is only ever published whole.
+  // A failed insert (the `cache.insert` failpoint stands in for
+  // allocation/grow failure) degrades to a lost memoization, never a lost
+  // or torn result: the report was already computed, and an entry is
+  // only ever published whole.
   if (!failpoint::fire("cache.insert")) {
-    count_insert(structural.insert(
-        digest.key, digest.check,
-        Impl::StructuralValue{design_identity(module, dev), report}));
+    Impl::StructuralValue value{report};
+#ifndef NDEBUG
+    value.identity = ir::print_module(module);
+#endif
+    count_insert(structural.insert(digest.key, digest.check, std::move(value)));
   }
   return report;
 }
@@ -367,7 +364,7 @@ cost::CostReport CostCache::cost(const ir::Module& module,
   Impl::ReaderGuard guard(impl_->active_readers);
 #endif
   const std::uint64_t dev = device_fingerprint(db.device());
-  return impl_->cost_structural(module, db, dev, design_digest(module, dev),
+  return impl_->cost_structural(module, db, design_digest(module, dev),
                                 was_hit);
 }
 
@@ -379,7 +376,7 @@ cost::CostReport CostCache::cost(const frontend::Variant& variant,
   Impl::ReaderGuard guard(impl_->active_readers);
 #endif
   // One device hash serves the whole lookup: the variant-key fold, and on
-  // a miss the structural digest and the identity text.
+  // a miss the structural digest.
   const std::uint64_t dev = device_fingerprint(db.device());
   const std::optional<VariantKey> vk = lowerer.key(variant);
   VariantKey full{};
@@ -414,7 +411,7 @@ cost::CostReport CostCache::cost(const frontend::Variant& variant,
   const ir::StructuralDigest digest = design_digest(module, dev);
   bool structural_hit = false;
   cost::CostReport report =
-      impl_->cost_structural(module, db, dev, digest, &structural_hit);
+      impl_->cost_structural(module, db, digest, &structural_hit);
   if (vk && !failpoint::fire("cache.insert")) {
     impl_->count_insert(impl_->variant.insert(full.key, full.check,
                                       Impl::VariantValue{digest, report}));
@@ -460,26 +457,23 @@ void CostCache::clear() {
 
 void CostCache::dump(binio::Encoder& structural_out,
                      binio::Encoder& variant_out) const {
-  // Pre-size both streams so a ~1 MB dump is written once instead of
-  // regrown by appends. Identity bytes are summed exactly; every report is
-  // sized like the first (they differ only in their name and per-function
-  // strings), plus an eighth for that variation.
-  std::size_t identity_bytes = 0;
+  // Pre-size both streams so a dump is written once instead of regrown by
+  // appends: every report is sized like the first (they differ only in
+  // their name and per-function strings), plus an eighth for that
+  // variation.
   std::size_t report_bytes = 0;
   impl_->structural.for_each([&](const auto& node) {
-    identity_bytes += node.value.identity.size();
     if (report_bytes != 0) return;
     binio::Encoder probe;
     cost::save_report(probe, node.value.report);
     report_bytes = probe.bytes().size() * 9 / 8;
   });
-  structural_out.reserve(identity_bytes + size() * (3 * 8 + report_bytes));
+  structural_out.reserve(size() * (2 * 8 + report_bytes));
   variant_out.reserve(variant_size() * (4 * 8 + report_bytes));
 
   impl_->structural.for_each([&](const auto& node) {
     structural_out.u64(node.key);
     structural_out.u64(node.check);
-    structural_out.str(node.value.identity);
     cost::save_report(structural_out, node.value.report);
   });
   impl_->variant.for_each([&](const auto& node) {
@@ -498,12 +492,10 @@ Result<CostCache::LoadCounts> CostCache::load(binio::Decoder& structural_in,
   while (structural_in.ok() && structural_in.remaining() > 0) {
     const std::uint64_t key = structural_in.u64();
     const std::uint64_t check = structural_in.u64();
-    std::string identity = structural_in.str();
     cost::CostReport report = cost::load_report(structural_in);
     if (!structural_in.ok()) break;
     impl_->count_insert(impl_->structural.insert(
-        key, check,
-        Impl::StructuralValue{std::move(identity), std::move(report)}));
+        key, check, Impl::StructuralValue{std::move(report)}));
     ++counts.structural;
   }
   if (!structural_in.ok()) {

@@ -10,7 +10,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -21,6 +20,7 @@
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/json.hpp"
 #include "tytra/support/strings.hpp"
+#include "tytra/support/thread_annotations.hpp"
 
 // This file IS the DSE engine: the batched parallel sweep, the tuner's
 // feedback walk and the Pareto skyline all live here, and the free
@@ -91,9 +91,9 @@ struct EvalContext {
   /// Cancelled.
   std::vector<const CancelToken*> job_cancel;
   bool any_job_cancel{false};
-  std::vector<FaultRecord> records;
+  mutable tytra::Mutex mu;  ///< guards records (cold path only)
+  std::vector<FaultRecord> records TYTRA_GUARDED_BY(mu);
   std::unique_ptr<std::atomic<bool>[]> dead;  ///< one flag per job
-  std::mutex mu;  ///< guards records (cold path only)
 
   EvalContext(std::size_t jobs, const CancelToken* cancel_token,
               std::chrono::steady_clock::time_point start)
@@ -106,6 +106,12 @@ struct EvalContext {
     for (std::size_t j = 0; j < jobs; ++j) {
       dead[j].store(false, std::memory_order_relaxed);
     }
+  }
+
+  /// A copy of job `job`'s fault record, for reading after the drain.
+  FaultRecord record(std::size_t job) const {
+    MutexLock lock(mu);
+    return records[job];
   }
 };
 
@@ -160,7 +166,7 @@ void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
         const double budget = ctx.deadline[t.job];
         if (budget > 0 && seconds_since(ctx.t0) >= budget) {
           if (!ctx.dead[t.job].exchange(true, std::memory_order_relaxed)) {
-            std::lock_guard<std::mutex> lock(ctx.mu);
+            MutexLock lock(ctx.mu);
             FaultRecord& r = ctx.records[t.job];
             r.state = JobState::TimedOut;
             std::ostringstream why;
@@ -185,7 +191,7 @@ void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
       } catch (...) {
         const bool first =
             !ctx.dead[t.job].exchange(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(ctx.mu);
+        MutexLock lock(ctx.mu);
         FaultRecord& r = ctx.records[t.job];
         ++r.faults;
         if (first) {
@@ -218,7 +224,7 @@ JobStatus finalize_status(const EvalContext& ctx, std::size_t job,
                           const std::vector<std::optional<cost::CostReport>>&
                               slots,
                           std::size_t begin, std::size_t end) {
-  const FaultRecord& r = ctx.records[job];
+  const FaultRecord r = ctx.record(job);
   JobStatus s;
   s.state = r.state;
   s.error = r.message;
@@ -532,7 +538,8 @@ constexpr std::uint32_t kSecCalibration = 4;
 /// Version of the *payload* schemas inside the sections (report encoding,
 /// digest scheme, calibration layout). Bump on any change to those — the
 /// container format version in binio.hpp only covers the framing.
-constexpr std::uint32_t kSnapshotPayloadVersion = 1;
+/// v2: structural entries are (key, check, report) — no printed IR.
+constexpr std::uint32_t kSnapshotPayloadVersion = 2;
 
 }  // namespace
 
@@ -913,7 +920,7 @@ DseResult Session::explore(const Job& job, CostCache* cache_override) {
   // evaluation threw), an expiry/cancel as its typed error.
   const JobStatus status = finalize_status(ctx, 0, slots, 0, slots.size());
   if (status.state == JobState::Failed) {
-    std::rethrow_exception(ctx.records[0].error);
+    std::rethrow_exception(ctx.record(0).error);
   }
   if (status.state == JobState::TimedOut) {
     throw DeadlineExceeded(ctx.deadline[0]);

@@ -5,7 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <mutex>
+
+#include "tytra/support/thread_annotations.hpp"
 
 namespace tytra::failpoint {
 
@@ -21,9 +22,9 @@ struct PointState {
 };
 
 struct Registry {
-  std::mutex mu;
-  std::map<std::string, PointState, std::less<>> points;
-  std::uint64_t fired{0};
+  tytra::Mutex mu;
+  std::map<std::string, PointState, std::less<>> points TYTRA_GUARDED_BY(mu);
+  std::uint64_t fired TYTRA_GUARDED_BY(mu){0};
 };
 
 Registry& registry() {
@@ -103,7 +104,7 @@ bool armed() { return g_armed.load(std::memory_order_relaxed) != 0; }
 bool fire(std::string_view name) {
   if (!armed()) return false;
   Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
+  MutexLock lock(r.mu);
   const auto it = r.points.find(name);
   if (it == r.points.end() || it->second.percent == 0) return false;
   const bool fires = paced_fire(it->second.hits++, it->second.percent);
@@ -118,7 +119,7 @@ void maybe_throw(std::string_view name) {
 void arm(std::string_view name, unsigned percent) {
   percent = std::min(percent, 100u);
   Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
+  MutexLock lock(r.mu);
   const auto it = r.points.find(name);
   if (percent == 0) {
     if (it != r.points.end() && it->second.percent != 0) {
@@ -138,7 +139,7 @@ void arm(std::string_view name, unsigned percent) {
 
 void reset() {
   Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
+  MutexLock lock(r.mu);
   r.points.clear();
   r.fired = 0;
   g_armed.store(0, std::memory_order_relaxed);
@@ -172,7 +173,7 @@ bool arm_from_spec(std::string_view spec) {
 
 std::uint64_t fired_count() {
   Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
+  MutexLock lock(r.mu);
   return r.fired;
 }
 

@@ -3,9 +3,9 @@
 // are atomic), exact round-trips of cost reports, calibrated databases and
 // the two-level cost cache, and the Session snapshot path — warm starts
 // byte-identical to cold runs, every failure mode degrading to a cold
-// start, clean saves that leave an unchanged file alone (and every change
-// that forces a full write), and the debug-build quiescence guard on
-// CostCache::clear().
+// start (an older payload version included), clean saves that leave an
+// unchanged file alone (and every change that forces a full write), and
+// the debug-build quiescence guard on CostCache::clear().
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -403,6 +403,12 @@ TEST(SnapshotCache, StructuralEntriesRoundTripAndHit) {
   const cost::CostReport warm = second.cost(module, db, &was_hit);
   EXPECT_TRUE(was_hit) << "restored structural entry did not hit";
   EXPECT_EQ(cost::format_report(warm), cost::format_report(fresh));
+
+  // A structural entry is its 128-bit identity plus the report — no
+  // printed IR rides along.
+  binio::Encoder report_only;
+  cost::save_report(report_only, fresh);
+  EXPECT_EQ(structural.bytes().size(), 2 * 8 + report_only.bytes().size());
 }
 
 TEST(SnapshotCache, GenerationCountsPublishedEntriesAndClears) {
@@ -678,6 +684,78 @@ TEST(SessionSnapshot, VerifySnapshotAcceptsGoodRejectsCorrupt) {
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
   write_file_bytes(tmp.path, bytes);
   EXPECT_FALSE(dse::verify_snapshot(tmp.path).ok());
+}
+
+/// Rewrites a current snapshot as payload v1: the layout before v2, where
+/// every structural entry carried its printed-IR identity text between
+/// the check half and the report. Variant and calibration sections are
+/// copied unchanged.
+std::string as_payload_v1(const std::string& path) {
+  auto opened = binio::Reader::open(path);
+  EXPECT_TRUE(opened.ok()) << opened.error_message();
+  if (!opened.ok()) return {};
+  const binio::Reader& reader = opened.value();
+  binio::Writer writer;
+  binio::Encoder meta;
+  meta.u32(1);
+  writer.add_section(1, meta.take());
+  binio::Decoder in(reader.section(2));
+  binio::Encoder structural;
+  for (int entry = 0; in.ok() && in.remaining() > 0; ++entry) {
+    structural.u64(in.u64());
+    structural.u64(in.u64());
+    structural.str("; printed IR of entry " + std::to_string(entry) + "\n");
+    cost::save_report(structural, cost::load_report(in));
+  }
+  EXPECT_TRUE(in.ok()) << in.error();
+  writer.add_section(2, structural.take());
+  writer.add_section(3, std::string(reader.section(3)));
+  writer.add_section(4, std::string(reader.section(4)));
+  return writer.render();
+}
+
+TEST(SessionSnapshot, PayloadV1FileColdStartsOnceAndIsRewrittenAsV2) {
+  TempPath tmp("session_v1");
+  (void)run_with_snapshot(tmp.path, "sor", 8, "stratix-v-gsd8", true);
+  const std::string v1 = as_payload_v1(tmp.path);
+  ASSERT_FALSE(v1.empty());
+  write_file_bytes(tmp.path, v1);
+
+  // Offline verification rejects the old payload by its version.
+  const auto verified = dse::verify_snapshot(tmp.path);
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.error_message().find("payload version 1"),
+            std::string::npos)
+      << verified.error_message();
+
+  // A session given the v1 file warns once, runs cold with output equal
+  // to a snapshot-less run, and saves a v2 file over it.
+  const SweepRender plain =
+      run_with_snapshot("", "sor", 8, "stratix-v-gsd8", false);
+  ::testing::internal::CaptureStderr();
+  const SweepRender upgraded =
+      run_with_snapshot(tmp.path, "sor", 8, "stratix-v-gsd8", true);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.rfind("tytra: warning: snapshot-load path='" + tmp.path +
+                          "' error='",
+                      0),
+            0u)
+      << err;
+  EXPECT_NE(err.find("payload version 1"), std::string::npos) << err;
+  EXPECT_NE(err.find("' action=cold-start\n"), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_EQ(upgraded.sweep, plain.sweep);
+  EXPECT_EQ(upgraded.pareto, plain.pareto);
+  EXPECT_EQ(upgraded.stats.hits, 0u) << "v1 entries answered a lookup";
+
+  const auto rewritten = dse::verify_snapshot(tmp.path);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.error_message();
+  EXPECT_EQ(rewritten.value().payload_version, 2u);
+  const SweepRender warm =
+      run_with_snapshot(tmp.path, "sor", 8, "stratix-v-gsd8", false);
+  EXPECT_EQ(warm.sweep, plain.sweep);
+  EXPECT_EQ(warm.stats.misses, 0u);
+  EXPECT_GT(warm.stats.variant_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

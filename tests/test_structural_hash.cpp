@@ -3,21 +3,25 @@
 // per-question analyses.
 //
 // The hash contract: equal printed IR <=> equal digest (checked across
-// all three kernels and a variant sweep), and any difference the printer
-// would show — a port, an offset, a metadata field, an instruction —
-// changes the digest.
+// all three kernels, generated kernels and their variant sweeps), and any
+// difference the printer would show — a port, an offset, a metadata
+// field, an instruction — changes the digest.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "tytra/cost/report.hpp"
 #include "tytra/dse/cache.hpp"
+#include "tytra/frontend/transform.hpp"
 #include "tytra/ir/analysis.hpp"
 #include "tytra/ir/printer.hpp"
 #include "tytra/ir/structural_hash.hpp"
+#include "tytra/kernels/file_workload.hpp"
+#include "tytra/kernels/generator.hpp"
 #include "tytra/kernels/kernels.hpp"
 #include "tytra/sim/cycle_model.hpp"
 
@@ -75,6 +79,42 @@ TEST(StructuralHash, PrintEqualityMatchesDigestEqualityAcrossKernelsAndSweep) {
           << "designs " << i << " vs " << j;
     }
   }
+}
+
+// Generated kernels dominate a cold campaign, and the cache keys on the
+// digest alone: the contract must hold for them at every lane count the
+// explorer enumerates, lowered exactly as a file-backed workload is.
+TEST(StructuralHash, PrintEqualityMatchesDigestEqualityAcrossGeneratedKernels) {
+  constexpr std::uint32_t kMaxLanes = 16;
+  struct Design {
+    std::string printed;
+    StructuralDigest digest;
+  };
+  std::vector<Design> designs;
+  const auto add = [&designs](const ir::Module& m) {
+    designs.push_back({ir::print_module(m), ir::structural_digest(m)});
+  };
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    auto baseline =
+        std::make_shared<const ir::Module>(kernels::generate_kernel(seed));
+    const dse::KeyedLowerer lowerer = kernels::file_lowerer(baseline);
+    const auto variants = frontend::enumerate_variants(
+        baseline->meta.global_size, kMaxLanes);
+    for (const frontend::Variant& v : variants) add(lowerer.lower(v));
+    // Re-lowering a variant must reproduce both print and digest.
+    add(lowerer.lower(variants.back()));
+  }
+
+  std::size_t equal_pairs = 0;
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    for (std::size_t j = i + 1; j < designs.size(); ++j) {
+      const bool print_equal = designs[i].printed == designs[j].printed;
+      EXPECT_EQ(print_equal, designs[i].digest == designs[j].digest)
+          << "designs " << i << " vs " << j;
+      equal_pairs += print_equal ? 1 : 0;
+    }
+  }
+  EXPECT_GE(equal_pairs, 32u) << "the equal side of the contract went untested";
 }
 
 TEST(StructuralHash, RebuildingTheSameDesignIsStable) {
