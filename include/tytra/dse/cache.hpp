@@ -27,6 +27,12 @@
 //     byte-compares the probe's printed IR with the text kept at insert
 //     (snapshot-restored entries carry none).
 //
+// Only the cost-model run depends on the database. A multi-target lookup
+// costs one design against several databases (a campaign's devices): it
+// lowers, digests and summarizes the design at most once and runs only
+// `cost_design` per database whose entry is missing; the single-database
+// lookup is its one-target case.
+//
 // Reads are lock-free: each level is a sharded open-addressed table whose
 // slots hold atomically published pointers to immutable entries, so N
 // workers hammering a warm cache scale linearly instead of serializing on
@@ -35,7 +41,10 @@
 // frees entries and must not race with concurrent cost() calls.
 
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <optional>
+#include <span>
 
 #include "tytra/cost/report.hpp"
 #include "tytra/dse/lowerer.hpp"
@@ -82,6 +91,20 @@ class CostCache {
     Variant,     ///< hit on the variant key — no lowering happened
   };
 
+  /// One database a multi-target lookup costs the design against, and
+  /// what the lookup found for it. `db` is the input; the other fields
+  /// are outputs and must start empty.
+  struct Target {
+    const cost::DeviceCostDb* db{nullptr};
+    /// The design's report on `db`; unset when `error` is set, or when
+    /// the lookup threw before reaching this target.
+    std::optional<cost::CostReport> report{};
+    /// Which level answered; meaningful only when `report` is set.
+    HitLevel level{HitLevel::Miss};
+    /// What this target's own cost-model run threw, if it did.
+    std::exception_ptr error{};
+  };
+
   /// `shards` sets the insert-lock granularity of each level (clamped to
   /// >= 1). Reads never lock, so the shard count no longer bounds how
   /// many workers a warm cache can serve; it only spreads insert
@@ -109,9 +132,24 @@ class CostCache {
   /// lowering entirely. `arena` is optional per-worker builder scratch
   /// handed to `lowerer.lower`; modules lowered internally are recycled
   /// into it. When `level` is non-null it receives which level answered.
+  /// The one-target case of the multi-target lookup below; rethrows the
+  /// cost model's exception.
   cost::CostReport cost(const frontend::Variant& variant, const Lowerer& lowerer,
                         const cost::DeviceCostDb& db, HitLevel* level = nullptr,
                         ir::BuildArena* arena = nullptr);
+
+  /// Multi-target two-level lookup: costs one design against every
+  /// target's database. Each target first probes the variant-key table;
+  /// only if some target misses there is the variant lowered, digested
+  /// and (on a structural miss) summarized — once for all targets — and
+  /// `cost_design` run per structural miss. Both levels are memoized per
+  /// target, and each target's HitLevel is what a one-target lookup in
+  /// the same order would report. A throw from the shared work (lowering,
+  /// digest, summarize) propagates, leaving unset the report of every
+  /// target that needed it; a throw from one target's cost-model run is
+  /// caught into that target's `error` and the other targets proceed.
+  void cost(const frontend::Variant& variant, const Lowerer& lowerer,
+            std::span<Target> targets, ir::BuildArena* arena = nullptr);
 
   [[nodiscard]] CacheStats stats() const;
   /// Number of memoized designs (structural-level entries).

@@ -29,7 +29,8 @@
 // Pareto view over every job. run(Campaign) schedules campaign-wide:
 // every job's variants are flattened into one work list and evaluated
 // concurrently through the shared cache (many small jobs keep every
-// worker busy instead of parallelizing each job alone), while the
+// worker busy instead of parallelizing each job alone; a design shared
+// by several devices is lowered once for all of them), while the
 // per-job merge, best and Pareto computation stay in enumeration order —
 // campaign output is byte-identical to running the jobs one at a time.
 // The legacy free functions in explorer.hpp and tuner.hpp are thin shims
@@ -280,33 +281,40 @@ class Session {
   /// Runs the whole campaign through the shared cache and merges the
   /// cross-device comparison + Pareto view. Scheduling is campaign-wide:
   /// all jobs' variants form one flattened work list drained by the
-  /// session pool, in two waves — first every distinct design (dedup by
-  /// variant key + database, so a design repeated across jobs is
-  /// evaluated once), then the repeats, which resolve at the variant-key
-  /// level against the now-warm cache. Per-job merge, best, Pareto and
-  /// cache stats are computed in enumeration order, so campaign output
-  /// (text and JSON, wall times aside) is byte-identical across thread
-  /// counts and to running the jobs one by one. The stats-determinism
-  /// guarantee assumes repeated designs are visible to the dedup, i.e.
-  /// they share a variant key and a database address (jobs naming the
-  /// same device-table entry do). Designs that only coincide later —
-  /// key-less FnLowerer jobs, keyed lowerers with different fingerprints
-  /// lowering to identical IR, or distinct Job::db copies calibrated
-  /// from one device — race at the structural level instead, and their
-  /// per-job hit/miss stats may vary across thread counts; the reports,
-  /// entries, best and frontiers are still exact.
+  /// session pool, in two waves. Wave 1 holds one unit per distinct
+  /// design (by device-free variant key) listing every database that
+  /// enumerates it: the design is lowered, digested and summarized once,
+  /// and only cost_design runs per database. A (design, database) pair
+  /// repeated across jobs is evaluated once; wave 2 runs the repeats,
+  /// which resolve at the variant-key level against the now-warm cache.
+  /// Per-job merge, best, Pareto and cache stats are computed in
+  /// enumeration order, so campaign output (text and JSON, wall times
+  /// aside) is byte-identical across thread counts and to running the
+  /// jobs one by one. The stats-determinism guarantee assumes repeated
+  /// designs are visible to the dedup, i.e. they share a variant key and
+  /// a database address (jobs naming the same device-table entry do).
+  /// Designs that only coincide later — key-less FnLowerer jobs, keyed
+  /// lowerers with different fingerprints lowering to identical IR, or
+  /// distinct Job::db copies calibrated from one device — race at the
+  /// structural level instead, and their per-job hit/miss stats may vary
+  /// across thread counts; the reports, entries, best and frontiers are
+  /// still exact.
   ///
-  /// Failure domains are per job: an evaluation that throws (or a job
-  /// whose deadline elapses) marks *that job* Failed/TimedOut in its
-  /// JobStatus, skips its remaining variants, and every unaffected job
-  /// completes with results byte-identical to a fault-free run of those
-  /// jobs. run() itself only throws for campaign-level errors (invalid
-  /// jobs at the resolve boundary). A flipped CancelToken drains the
-  /// work list and marks unfinished jobs Cancelled. Caveat: when a
-  /// failed evaluation was the wave-1 representative of a design
-  /// repeated in another job, the repeat re-evaluates cold — its results
-  /// are unchanged, but its hit/miss stats can differ from the
-  /// fault-free run.
+  /// Failure domains are per (design, database) pair, and a failure
+  /// fails that pair's job: a throw from a design's shared lowering,
+  /// digest or summarize fails the job of every database that needed it
+  /// (each would have thrown the same alone), a throw from one
+  /// database's cost model fails only that job, and a job whose deadline
+  /// elapses is TimedOut — each checked per pair. A failed job is marked
+  /// in its JobStatus and its remaining variants skipped; every
+  /// unaffected job completes with results byte-identical to a
+  /// fault-free run of those jobs. run() itself only throws for
+  /// campaign-level errors (invalid jobs at the resolve boundary). A
+  /// flipped CancelToken drains the work list and marks unfinished jobs
+  /// Cancelled. Caveat: when a failed evaluation was the wave-1
+  /// representative of a design repeated in another job, the repeat
+  /// re-evaluates cold — its results are unchanged, but its hit/miss
+  /// stats can differ from the fault-free run.
   CampaignResult run(const Campaign& campaign,
                      CostCache* cache_override = nullptr);
 

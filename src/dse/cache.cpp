@@ -6,9 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "tytra/ir/analysis.hpp"
 #include "tytra/ir/structural_hash.hpp"
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/hash.hpp"
@@ -51,17 +54,52 @@ void hash_device(HashBuilder& h, const target::DeviceDesc& dev) {
       .f64(dev.shell_overhead);
 }
 
-/// The 128-bit identity of a (design, database) pair, streamed: the
-/// device fingerprint (`dev`, hashed once per lookup by the callers)
-/// seeds both digest halves, then the module structure is walked once
-/// into each. No strings are built, no parameters are extracted — one
-/// allocation-free traversal.
-ir::StructuralDigest design_digest(const ir::Module& module,
-                                   std::uint64_t dev) {
-  const ir::StructuralDigest structure = ir::structural_digest(module);
-  return {HashBuilder{}.u64(dev).u64(structure.key).value(),
-          HashBuilder{}.u64(dev).u64(structure.check).value()};
+/// Folds the device fingerprint `dev` into both halves of a device-free
+/// 128-bit identity (a variant key or a structural digest): the same
+/// design costed against different calibrations must not cross-hit.
+template <typename Digest>
+Digest fold_device(const Digest& d, std::uint64_t dev) {
+  return {HashBuilder{}.u64(dev).u64(d.key).value(),
+          HashBuilder{}.u64(dev).u64(d.check).value()};
 }
+
+/// One lowered design and the device-independent work on it: the
+/// structural walk, the analysis summary and (debug builds) the printed
+/// IR, each done at most once however many databases the design is
+/// costed against.
+class LoweredDesign {
+ public:
+  explicit LoweredDesign(const ir::Module& module)
+      : module_(module), structure_(ir::structural_digest(module)) {}
+
+  [[nodiscard]] const ir::Module& module() const { return module_; }
+
+  /// The 128-bit identity of this design on the device `dev` (a device
+  /// fingerprint): the structural-level key.
+  [[nodiscard]] ir::StructuralDigest digest(std::uint64_t dev) const {
+    return fold_device(structure_, dev);
+  }
+
+  const ir::AnalysisSummary& summary() {
+    if (!summary_) summary_.emplace(ir::summarize(module_));
+    return *summary_;
+  }
+
+#ifndef NDEBUG
+  const std::string& printed() {
+    if (!printed_) printed_ = ir::print_module(module_);
+    return *printed_;
+  }
+#endif
+
+ private:
+  const ir::Module& module_;
+  ir::StructuralDigest structure_;
+  std::optional<ir::AnalysisSummary> summary_;
+#ifndef NDEBUG
+  std::optional<std::string> printed_;
+#endif
+};
 
 }  // namespace
 
@@ -72,7 +110,9 @@ std::uint64_t device_fingerprint(const target::DeviceDesc& dev) {
 }
 
 std::uint64_t design_key(const ir::Module& module, const cost::DeviceCostDb& db) {
-  return design_digest(module, device_fingerprint(db.device())).key;
+  return fold_device(ir::structural_digest(module),
+                     device_fingerprint(db.device()))
+      .key;
 }
 
 namespace {
@@ -268,13 +308,12 @@ struct CostCache::Impl {
     if (published) ++generation;
   }
 
-  /// Structural-level lookup with the (device-seeded) digest already in
-  /// hand, so callers that need it for their own bookkeeping (the
-  /// variant-level insert) hash the device and walk the module once.
-  cost::CostReport cost_structural(const ir::Module& module,
-                                   const cost::DeviceCostDb& db,
-                                   const ir::StructuralDigest& digest,
-                                   bool* was_hit);
+  /// Resolves `t` at the structural level under `digest` (the design's
+  /// identity on t.db): a hit, or the cost model run and memoized. A
+  /// throw from the design's shared summary propagates; one from
+  /// t.db's cost-model run lands in t.error.
+  void cost_structural(LoweredDesign& design,
+                       const ir::StructuralDigest& digest, Target& t);
 
   AtomicTable<StructuralValue> structural;
   AtomicTable<VariantValue> variant;
@@ -322,40 +361,46 @@ CostCache::CostCache(std::size_t shards)
 
 CostCache::~CostCache() = default;
 
-cost::CostReport CostCache::Impl::cost_structural(
-    const ir::Module& module, const cost::DeviceCostDb& db,
-    const ir::StructuralDigest& digest, bool* was_hit) {
+void CostCache::Impl::cost_structural(LoweredDesign& design,
+                                      const ir::StructuralDigest& digest,
+                                      Target& t) {
   if (const auto* node = structural.find(digest.key, digest.check)) {
 #ifndef NDEBUG
     // Debug builds audit the digest against the IR it condenses: a digest
     // match on an entry this process computed must mean byte-identical
     // printed IR. Restored entries carry no text to compare.
     assert(node->value.identity.empty() ||
-           node->value.identity == ir::print_module(module));
+           node->value.identity == design.printed());
 #endif
     counter(digest.key).hits.fetch_add(1, std::memory_order_relaxed);
-    if (was_hit) *was_hit = true;
-    return node->value.report;
+    t.report = node->value.report;
+    t.level = HitLevel::Structural;
+    return;
   }
   counter(digest.key).misses.fetch_add(1, std::memory_order_relaxed);
-  if (was_hit) *was_hit = false;
+  t.level = HitLevel::Miss;
   // Cost outside the lock: the model run dominates, and concurrent misses
   // on the same key merely compute the same report twice. The summary is
-  // built once and shared across every model stage.
-  const ir::AnalysisSummary summary = ir::summarize(module);
-  cost::CostReport report = cost::cost_design(module, db, summary);
+  // built once per design and shared across every model stage and every
+  // database.
+  const ir::AnalysisSummary& summary = design.summary();
+  try {
+    t.report = cost::cost_design(design.module(), *t.db, summary);
+  } catch (...) {
+    t.error = std::current_exception();
+    return;
+  }
   // A failed insert (the `cache.insert` failpoint stands in for
   // allocation/grow failure) degrades to a lost memoization, never a lost
   // or torn result: the report was already computed, and an entry is
   // only ever published whole.
   if (!failpoint::fire("cache.insert")) {
-    Impl::StructuralValue value{report};
+    Impl::StructuralValue value{*t.report};
 #ifndef NDEBUG
-    value.identity = ir::print_module(module);
+    value.identity = design.printed();
 #endif
     count_insert(structural.insert(digest.key, digest.check, std::move(value)));
   }
-  return report;
 }
 
 cost::CostReport CostCache::cost(const ir::Module& module,
@@ -363,62 +408,86 @@ cost::CostReport CostCache::cost(const ir::Module& module,
 #ifndef NDEBUG
   Impl::ReaderGuard guard(impl_->active_readers);
 #endif
-  const std::uint64_t dev = device_fingerprint(db.device());
-  return impl_->cost_structural(module, db, design_digest(module, dev),
-                                was_hit);
+  LoweredDesign design(module);
+  Target t{&db};
+  impl_->cost_structural(design, design.digest(device_fingerprint(db.device())),
+                         t);
+  if (t.error) std::rethrow_exception(t.error);
+  if (was_hit) *was_hit = t.level == HitLevel::Structural;
+  return std::move(*t.report);
 }
 
 cost::CostReport CostCache::cost(const frontend::Variant& variant,
                                  const Lowerer& lowerer,
                                  const cost::DeviceCostDb& db, HitLevel* level,
                                  ir::BuildArena* arena) {
+  Target t{&db};
+  cost(variant, lowerer, std::span<Target>(&t, 1), arena);
+  if (t.error) std::rethrow_exception(t.error);
+  if (level) *level = t.level;
+  return std::move(*t.report);
+}
+
+void CostCache::cost(const frontend::Variant& variant, const Lowerer& lowerer,
+                     std::span<Target> targets, ir::BuildArena* arena) {
 #ifndef NDEBUG
   Impl::ReaderGuard guard(impl_->active_readers);
 #endif
-  // One device hash serves the whole lookup: the variant-key fold, and on
-  // a miss the structural digest.
-  const std::uint64_t dev = device_fingerprint(db.device());
+  if (targets.empty()) return;
+  // The variant level first, per target: a target it answers needs no IR.
   const std::optional<VariantKey> vk = lowerer.key(variant);
-  VariantKey full{};
+  bool any_miss = !vk;
   if (vk) {
-    // Fold the device fingerprint into both halves: the same variant
-    // costed against different calibrations must not cross-hit.
-    full = VariantKey{HashBuilder{}.u64(dev).u64(vk->key).value(),
-                      HashBuilder{}.u64(dev).u64(vk->check).value()};
-    if (const auto* node = impl_->variant.find(full.key, full.check)) {
-#ifndef NDEBUG
-      // Two-level cross-check: the lowerer's identity promise must agree
-      // with the authoritative structural digest the key was inserted
-      // under. Debug builds pay the lowering this level exists to skip.
-      {
-        ir::Module check_module = lowerer.lower(variant, arena);
-        assert(design_digest(check_module, dev) == node->value.design);
-        if (arena) arena->recycle(std::move(check_module));
+    for (Target& t : targets) {
+      const VariantKey full =
+          fold_device(*vk, device_fingerprint(t.db->device()));
+      const auto* node = impl_->variant.find(full.key, full.check);
+      if (node == nullptr) {
+        any_miss = true;
+        continue;
       }
-#endif
       Impl::Counter& c = impl_->counter(full.key);
       c.hits.fetch_add(1, std::memory_order_relaxed);
       c.variant_hits.fetch_add(1, std::memory_order_relaxed);
-      if (level) *level = HitLevel::Variant;
-      return node->value.report;
+      t.report = node->value.report;
+      t.level = HitLevel::Variant;
     }
   }
-  // Variant-key miss (or key-less lowerer): lower and resolve at the
-  // structural level, then memoize the key so the next warm lookup skips
-  // lowering entirely. The digest is computed once and shared between
-  // the structural lookup and the variant-level insert.
+#ifdef NDEBUG
+  if (!any_miss) return;
+#else
+  (void)any_miss;  // debug builds lower anyway, for the cross-check below
+#endif
+  // Some target missed (or the lowerer is key-less): lower and walk the
+  // structure once, resolve each such target at the structural level,
+  // then memoize its variant key so the next warm lookup skips lowering
+  // entirely.
   ir::Module module = lowerer.lower(variant, arena);
-  const ir::StructuralDigest digest = design_digest(module, dev);
-  bool structural_hit = false;
-  cost::CostReport report =
-      impl_->cost_structural(module, db, digest, &structural_hit);
-  if (vk && !failpoint::fire("cache.insert")) {
-    impl_->count_insert(impl_->variant.insert(full.key, full.check,
-                                      Impl::VariantValue{digest, report}));
+  LoweredDesign design(module);
+  for (Target& t : targets) {
+    if (t.level == HitLevel::Variant) continue;
+    const std::uint64_t dev = device_fingerprint(t.db->device());
+    const ir::StructuralDigest digest = design.digest(dev);
+    impl_->cost_structural(design, digest, t);
+    if (vk && t.report && !failpoint::fire("cache.insert")) {
+      const VariantKey full = fold_device(*vk, dev);
+      impl_->count_insert(impl_->variant.insert(
+          full.key, full.check, Impl::VariantValue{digest, *t.report}));
+    }
   }
+#ifndef NDEBUG
+  // Two-level cross-check, once per design: the lowerer's identity
+  // promise must agree with the authoritative structural digest each
+  // variant-level hit was inserted under.
+  for (const Target& t : targets) {
+    if (t.level != HitLevel::Variant) continue;
+    const std::uint64_t dev = device_fingerprint(t.db->device());
+    const VariantKey full = fold_device(*vk, dev);
+    const auto* node = impl_->variant.find(full.key, full.check);
+    assert(node != nullptr && node->value.design == design.digest(dev));
+  }
+#endif
   if (arena) arena->recycle(std::move(module));
-  if (level) *level = structural_hit ? HitLevel::Structural : HitLevel::Miss;
-  return report;
 }
 
 CacheStats CostCache::stats() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -11,12 +12,12 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
+#include "tytra/ir/analysis.hpp"
 #include "tytra/support/failpoint.hpp"
 #include "tytra/support/json.hpp"
 #include "tytra/support/strings.hpp"
@@ -45,16 +46,26 @@ std::uint32_t resolve_threads(std::uint32_t requested, std::size_t work_items) {
   return n == 0 ? 1 : n;
 }
 
-/// One unit of evaluation work: a variant, the lowerer/database it is
-/// evaluated through, the result slot it writes, and the job it belongs
-/// to (the failure domain). A sweep's tasks all share one (lower, db,
-/// job); a campaign's flattened list mixes jobs.
-struct EvalTask {
-  const frontend::Variant* variant;
-  const Lowerer* lower;
+/// One (design, database) pair: the database the design is costed
+/// against, the result slot it writes, and the job it belongs to (the
+/// failure domain).
+struct EvalTarget {
   const cost::DeviceCostDb* db;
   std::size_t slot;
   std::size_t job;
+};
+
+/// One unit of evaluation work: a design (a variant and the lowerer that
+/// materializes it) and the databases it is costed against,
+/// targets[first, first + count) of the batch's target list. A sweep's
+/// tasks have one target each; a campaign's wave-1 tasks have one per
+/// database that enumerates the design, so lowering, digest and summary
+/// are shared across them.
+struct EvalTask {
+  const frontend::Variant* variant;
+  const Lowerer* lower;
+  std::size_t first;
+  std::size_t count;
 };
 
 double seconds_since(const std::chrono::steady_clock::time_point& t0) {
@@ -113,26 +124,100 @@ struct EvalContext {
     MutexLock lock(mu);
     return records[job];
   }
+
+  /// Whether job `job` may still evaluate: false once it is dead, and it
+  /// dies here when its cancel token is flipped or its deadline elapsed.
+  bool admit(std::size_t job) {
+    if (dead[job].load(std::memory_order_relaxed)) return false;
+    if (any_job_cancel) {
+      const CancelToken* jc = job_cancel[job];
+      if (jc != nullptr && jc->cancelled()) {
+        // Idempotent store, no record: finalize_status derives the
+        // Cancelled state from the fault-free-but-incomplete slots.
+        dead[job].store(true, std::memory_order_relaxed);
+        return false;
+      }
+    }
+    if (any_deadline) {
+      const double budget = deadline[job];
+      if (budget > 0 && seconds_since(t0) >= budget) {
+        if (!dead[job].exchange(true, std::memory_order_relaxed)) {
+          MutexLock lock(mu);
+          FaultRecord& r = records[job];
+          r.state = JobState::TimedOut;
+          std::ostringstream why;
+          why << "deadline exceeded (budget " << budget << " s)";
+          r.message = why.str();
+        }
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Records one failed evaluation of job `job`. The first fault marks
+  /// the job dead and keeps `error`; later ones only bump the count.
+  void fail(std::size_t job, const std::exception_ptr& error) {
+    const bool first = !dead[job].exchange(true, std::memory_order_relaxed);
+    MutexLock lock(mu);
+    FaultRecord& r = records[job];
+    ++r.faults;
+    if (!first) return;
+    r.state = JobState::Failed;
+    r.error = error;
+    try {
+      std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+      r.message = e.what();
+    } catch (...) {
+      r.message = "unknown exception";
+    }
+  }
 };
 
-/// Drains `tasks` into per-task slots. The work-queue is a single atomic
-/// cursor; slots are disjoint, so workers never contend on results, and
-/// merging slots in enumeration order is deterministic no matter the
-/// interleaving. Worker t draws lowering scratch from arenas[t] — worker
-/// indices are pinned to pool threads, so recycled builder capacity
-/// survives across batches and jobs. levels[slot] records which cache
-/// level answered (stays Miss when uncached); the per-batch accounting
-/// is aggregated from it afterwards, deterministically, instead of from
-/// racing shared counters.
+/// The uncached evaluation of one design: lower and summarize once, then
+/// run the cost model per target. Mirrors CostCache's multi-target
+/// contract: a throw from the shared work propagates, one from a single
+/// target's cost model lands in that target's `error`.
+void cost_uncached(const EvalTask& task,
+                   std::span<CostCache::Target> targets,
+                   ir::BuildArena& arena) {
+  ir::Module module = task.lower->lower(*task.variant, &arena);
+  const ir::AnalysisSummary summary = ir::summarize(module);
+  for (CostCache::Target& t : targets) {
+    try {
+      t.report = cost::cost_design(module, *t.db, summary);
+    } catch (...) {
+      t.error = std::current_exception();
+    }
+  }
+  arena.recycle(std::move(module));
+}
+
+/// Drains `tasks` into per-target slots. The work-queue is a single
+/// atomic cursor over designs; slots are disjoint, so workers never
+/// contend on results, and merging slots in enumeration order is
+/// deterministic no matter the interleaving. Worker t draws lowering
+/// scratch from arenas[t] — worker indices are pinned to pool threads, so
+/// recycled builder capacity survives across batches and jobs.
+/// levels[slot] records which cache level answered (stays Miss when
+/// uncached); the per-batch accounting is aggregated from it afterwards,
+/// deterministically, instead of from racing shared counters.
 ///
-/// Failure containment is per job, not per batch: a throwing evaluation
-/// (including the `dse.pool-task` failpoint) records the job's first
-/// error in ctx and kills only that job's remaining tasks; every other
-/// job keeps evaluating. A flipped CancelToken jumps the cursor past the
-/// end — in-flight evaluations finish (their slots stay valid), nothing
-/// new starts. This function itself never throws engine errors; callers
-/// read ctx.records and decide (explore rethrows, run() degrades).
-void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
+/// Failure containment is per (design, database) pair, and a failure
+/// kills that pair's job, never the batch. Each target is admitted on its
+/// own: its job's dead flag, cancel token and deadline are checked, and
+/// the `dse.pool-task` failpoint fires once per target. A throw from the
+/// design's shared work (lowering, digest, summarize) fails the job of
+/// every live target that needed it; a throw from one target's cost
+/// model fails only that target's job. A dead job's remaining targets
+/// are skipped while every other job keeps evaluating. A flipped
+/// CancelToken jumps the cursor past the end — in-flight evaluations
+/// finish (their slots stay valid), nothing new starts. This function
+/// itself never throws engine errors; callers read ctx.records and
+/// decide (explore rethrows, run() degrades).
+void evaluate_tasks(const std::vector<EvalTask>& tasks,
+                    const std::vector<EvalTarget>& targets, CostCache* cache,
                     ThreadPool* pool, std::uint32_t participants,
                     std::vector<ir::BuildArena>& arenas,
                     std::vector<std::optional<cost::CostReport>>& slots,
@@ -142,6 +227,9 @@ void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
 
   auto worker = [&](std::uint32_t worker_index) {
     ir::BuildArena& arena = arenas[worker_index];
+    // The task's admitted targets and their lookups, reused across tasks.
+    std::vector<const EvalTarget*> live;
+    std::vector<CostCache::Target> lookups;
     for (;;) {
       if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
         // Unfinished jobs are marked Cancelled by finalize_status once
@@ -151,59 +239,42 @@ void evaluate_tasks(const std::vector<EvalTask>& tasks, CostCache* cache,
       }
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= tasks.size()) return;
-      const EvalTask& t = tasks[i];
-      if (ctx.dead[t.job].load(std::memory_order_relaxed)) continue;
-      if (ctx.any_job_cancel) {
-        const CancelToken* jc = ctx.job_cancel[t.job];
-        if (jc != nullptr && jc->cancelled()) {
-          // Idempotent store, no record: finalize_status derives the
-          // Cancelled state from the fault-free-but-incomplete slots.
-          ctx.dead[t.job].store(true, std::memory_order_relaxed);
+      const EvalTask& task = tasks[i];
+      live.clear();
+      lookups.clear();
+      for (std::size_t k = task.first; k < task.first + task.count; ++k) {
+        const EvalTarget& t = targets[k];
+        if (!ctx.admit(t.job)) continue;
+        try {
+          failpoint::maybe_throw("dse.pool-task");
+        } catch (...) {
+          ctx.fail(t.job, std::current_exception());
           continue;
         }
+        live.push_back(&t);
+        lookups.push_back(CostCache::Target{t.db});
       }
-      if (ctx.any_deadline) {
-        const double budget = ctx.deadline[t.job];
-        if (budget > 0 && seconds_since(ctx.t0) >= budget) {
-          if (!ctx.dead[t.job].exchange(true, std::memory_order_relaxed)) {
-            MutexLock lock(ctx.mu);
-            FaultRecord& r = ctx.records[t.job];
-            r.state = JobState::TimedOut;
-            std::ostringstream why;
-            why << "deadline exceeded (budget " << budget << " s)";
-            r.message = why.str();
-          }
-          continue;
-        }
-      }
+      if (live.empty()) continue;
       try {
-        failpoint::maybe_throw("dse.pool-task");
         if (cache) {
-          CostCache::HitLevel level = CostCache::HitLevel::Miss;
-          slots[t.slot] = cache->cost(*t.variant, *t.lower, *t.db, &level,
-                                      &arena);
-          levels[t.slot] = level;
+          cache->cost(*task.variant, *task.lower, lookups, &arena);
         } else {
-          ir::Module module = t.lower->lower(*t.variant, &arena);
-          slots[t.slot] = cost::cost_design(module, *t.db);
-          arena.recycle(std::move(module));
+          cost_uncached(task, lookups, arena);
         }
       } catch (...) {
-        const bool first =
-            !ctx.dead[t.job].exchange(true, std::memory_order_relaxed);
-        MutexLock lock(ctx.mu);
-        FaultRecord& r = ctx.records[t.job];
-        ++r.faults;
-        if (first) {
-          r.state = JobState::Failed;
-          r.error = std::current_exception();
-          try {
-            throw;
-          } catch (const std::exception& e) {
-            r.message = e.what();
-          } catch (...) {
-            r.message = "unknown exception";
-          }
+        // The shared work threw: every target still without a report
+        // would have thrown the same on its own.
+        for (CostCache::Target& l : lookups) {
+          if (!l.report && !l.error) l.error = std::current_exception();
+        }
+      }
+      for (std::size_t k = 0; k < live.size(); ++k) {
+        CostCache::Target& l = lookups[k];
+        if (l.error) {
+          ctx.fail(live[k]->job, l.error);
+        } else {
+          slots[live[k]->slot] = std::move(l.report);
+          levels[live[k]->slot] = l.level;
         }
       }
     }
@@ -899,10 +970,13 @@ DseResult Session::explore(const Job& job, CostCache* cache_override) {
   std::vector<std::optional<cost::CostReport>> slots(variants.size());
   std::vector<CostCache::HitLevel> levels(variants.size(),
                                           CostCache::HitLevel::Miss);
+  std::vector<EvalTarget> targets;
+  targets.reserve(variants.size());
   std::vector<EvalTask> tasks;
   tasks.reserve(variants.size());
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    tasks.push_back(EvalTask{&variants[i], r.lower, r.db, i, 0});
+    targets.push_back(EvalTarget{r.db, i, 0});
+    tasks.push_back(EvalTask{&variants[i], r.lower, i, 1});
   }
   CostCache* cache = effective_cache(cache_override);
   const std::uint32_t participants =
@@ -913,7 +987,7 @@ DseResult Session::explore(const Job& job, CostCache* cache_override) {
   ctx.any_deadline = ctx.deadline[0] > 0;
   ctx.job_cancel[0] = job.cancel;
   ctx.any_job_cancel = job.cancel != nullptr;
-  evaluate_tasks(tasks, cache, pool_for(participants), participants,
+  evaluate_tasks(tasks, targets, cache, pool_for(participants), participants,
                  arenas(participants), slots, levels, ctx);
   // Single-job semantics: a contained failure surfaces as the original
   // exception (so callers and the legacy shims see exactly what the
@@ -982,40 +1056,94 @@ CampaignResult Session::run(const Campaign& campaign,
   const std::size_t total = offset.back();
 
   // Campaign-wide scheduling: one flattened work list over every job's
-  // variants, drained by the shared pool, so a campaign of many small
+  // designs, drained by the shared pool, so a campaign of many small
   // jobs keeps every worker busy instead of parallelizing each job
-  // alone. Evaluation runs in two waves. Wave 1 covers every *distinct*
-  // design — a design repeated across jobs (same database, same variant
-  // key) is evaluated once, by the first job that enumerates it. Wave 2
-  // runs the repeats after the wave-1 barrier, so each resolves at the
-  // variant-key level against the now-warm cache — exactly the hits the
-  // old job-after-job loop produced, which keeps per-job cache stats
-  // (and therefore campaign text output) byte-identical across thread
-  // counts. Key-less lowerers cannot be deduplicated before lowering
-  // and stay in wave 1.
+  // alone. Evaluation runs in two waves. Wave 1 holds one task per
+  // *distinct* design — found by its device-free variant key — whose
+  // targets are every database that enumerates it, so the design is
+  // lowered, digested and summarized once and only the cost model runs
+  // per database. A (design, database) pair repeated across jobs is
+  // evaluated once, by the first job that enumerates it. Wave 2 runs
+  // the repeats after the wave-1 barrier, one target each, so each
+  // resolves at the variant-key level against the now-warm cache —
+  // exactly the hits the old job-after-job loop produced, which keeps
+  // per-job cache stats (and therefore campaign text output)
+  // byte-identical across thread counts. Key-less lowerers cannot be
+  // grouped before lowering: each of their variants is its own design.
   std::vector<std::optional<cost::CostReport>> slots(total);
   std::vector<CostCache::HitLevel> levels(total, CostCache::HitLevel::Miss);
-  std::vector<EvalTask> wave1;
-  wave1.reserve(total);
-  std::vector<EvalTask> wave2;
-  std::set<std::tuple<const cost::DeviceCostDb*, std::uint64_t, std::uint64_t>>
-      seen;
+  struct Design {
+    std::optional<VariantKey> key;
+    std::size_t head;  ///< first target's slot; next[] chains the rest
+    std::size_t tail;
+  };
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<Design> designs;
+  designs.reserve(total);
+  std::vector<EvalTarget> flat;  // by slot
+  flat.reserve(total);
+  std::vector<std::size_t> next(total, kNone);
+  std::vector<std::size_t> repeats;
+  // Open-addressed index from variant key to design (linear probing, at
+  // most half full): grouping allocates per campaign, not per task.
+  const std::size_t mask = std::bit_ceil(2 * total + 1) - 1;
+  std::vector<std::size_t> index(mask + 1, kNone);
   for (std::size_t j = 0; j < variants.size(); ++j) {
     for (std::size_t i = 0; i < variants[j].size(); ++i) {
-      const EvalTask task{&variants[j][i], resolved[j].lower, resolved[j].db,
-                          offset[j] + i, j};
-      bool repeat = false;
-      if (cache) {
-        if (const auto vk = resolved[j].lower->key(variants[j][i])) {
-          // Jobs naming the same device-table entry share a DeviceCostDb
-          // address, so (database, variant key) identifies the design; a
-          // caller-supplied Job::db that merely equals another database
-          // is conservatively treated as distinct.
-          repeat = !seen.insert({resolved[j].db, vk->key, vk->check}).second;
+      const std::size_t slot = offset[j] + i;
+      flat.push_back(EvalTarget{resolved[j].db, slot, j});
+      const std::optional<VariantKey> vk =
+          resolved[j].lower->key(variants[j][i]);
+      std::size_t* filed = nullptr;
+      if (vk) {
+        std::size_t h = vk->key & mask;
+        while (index[h] != kNone && designs[index[h]].key != vk) {
+          h = (h + 1) & mask;
         }
+        filed = &index[h];
       }
-      (repeat ? wave2 : wave1).push_back(task);
+      if (filed == nullptr || *filed == kNone) {
+        if (filed != nullptr) *filed = designs.size();
+        designs.push_back(Design{vk, slot, slot});
+        continue;
+      }
+      // Jobs naming the same device-table entry share a DeviceCostDb
+      // address, so a database already among the design's targets makes
+      // this a repeat; a caller-supplied Job::db that merely equals
+      // another database is conservatively treated as distinct.
+      Design& d = designs[*filed];
+      bool repeat = false;
+      for (std::size_t s = d.head; s != kNone && !repeat; s = next[s]) {
+        repeat = flat[s].db == resolved[j].db;
+      }
+      if (repeat) {
+        repeats.push_back(slot);
+      } else {
+        next[d.tail] = slot;
+        d.tail = slot;
+      }
     }
+  }
+  std::vector<EvalTarget> targets;
+  targets.reserve(total);
+  std::vector<EvalTask> wave1;
+  wave1.reserve(designs.size());
+  for (const Design& d : designs) {
+    const std::size_t j = flat[d.head].job;
+    const std::size_t first = targets.size();
+    for (std::size_t s = d.head; s != kNone; s = next[s]) {
+      targets.push_back(flat[s]);
+    }
+    wave1.push_back(EvalTask{&variants[j][d.head - offset[j]],
+                             resolved[j].lower, first, targets.size() - first});
+  }
+  std::vector<EvalTask> wave2;
+  wave2.reserve(repeats.size());
+  for (const std::size_t slot : repeats) {
+    const std::size_t j = flat[slot].job;
+    wave2.push_back(EvalTask{&variants[j][slot - offset[j]],
+                             resolved[j].lower, targets.size(), 1});
+    targets.push_back(flat[slot]);
   }
   EvalContext ctx(campaign.jobs.size(), options_.cancel, t0);
   for (std::size_t j = 0; j < campaign.jobs.size(); ++j) {
@@ -1031,8 +1159,8 @@ CampaignResult Session::run(const Campaign& campaign,
     if (options_.cancel != nullptr && options_.cancel->cancelled()) break;
     const std::uint32_t participants =
         resolve_threads(options_.num_threads, wave->size());
-    evaluate_tasks(*wave, cache, pool_for(participants), participants,
-                   arenas(participants), slots, levels, ctx);
+    evaluate_tasks(*wave, targets, cache, pool_for(participants),
+                   participants, arenas(participants), slots, levels, ctx);
   }
   const double eval_seconds = seconds_since(t0);
 

@@ -168,6 +168,71 @@ TEST(FailureDomains, PartialProgressIsAccountedExactly) {
   EXPECT_EQ(total, full.entries.size());
 }
 
+TEST(FailureDomains, SharedDesignFailureFailsItsJobsOnEveryDevice) {
+  // A campaign lowers each design once for all of its devices, so a
+  // design whose lowering throws fails every job that enumerates it, on
+  // every device — and nothing else.
+  const std::vector<const cost::DeviceCostDb*> dbs = {
+      &preset_db("fig15"), &preset_db("stratix-v-gsd8"),
+      &preset_db("virtex7-690t")};
+  const auto real = registry_job("sor", 16, *dbs[0]).lower;
+  const auto throws_at_4 = std::make_shared<dse::KeyedLowerer>(
+      "sor16-throws-at-4-lanes",
+      [real](const frontend::Variant& v, ir::BuildArena* arena) {
+        if (v.lanes() == 4) throw std::runtime_error("no design at 4 lanes");
+        return real->lower(v, arena);
+      });
+
+  dse::Campaign healthy;
+  for (const auto* db : dbs) {
+    healthy.jobs.push_back(registry_job("sor", 16, *db));
+    healthy.jobs.push_back(registry_job("hotspot", 12, *db));
+  }
+  dse::Campaign faulted;
+  for (std::size_t d = 0; d < dbs.size(); ++d) {
+    faulted.jobs.push_back(healthy.jobs[2 * d]);
+    dse::Job bad = registry_job("sor", 16, *dbs[d]);
+    bad.workload = "sor-throws";
+    bad.lower = throws_at_4;
+    faulted.jobs.push_back(std::move(bad));
+    faulted.jobs.push_back(healthy.jobs[2 * d + 1]);
+  }
+
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    dse::SessionOptions so;
+    so.num_threads = threads;
+    dse::Session ref_session(so);
+    const dse::CampaignResult ref = ref_session.run(healthy);
+    ASSERT_EQ(ref.degraded(), 0u);
+    dse::Session session(so);
+    const dse::CampaignResult got = session.run(faulted);
+    ASSERT_EQ(got.jobs.size(), 9u);
+    EXPECT_EQ(got.degraded(), 3u) << "threads=" << threads;
+
+    for (std::size_t d = 0; d < dbs.size(); ++d) {
+      const dse::CampaignJobResult& bad = got.jobs[3 * d + 1];
+      EXPECT_EQ(bad.status.state, dse::JobState::Failed)
+          << "threads=" << threads << " device " << d;
+      EXPECT_EQ(bad.status.error, "no design at 4 lanes");
+      EXPECT_EQ(bad.status.faults, 1u);
+      EXPECT_TRUE(bad.result.entries.empty());
+      for (const std::size_t at : {3 * d, 3 * d + 2}) {
+        const auto& survivor = got.jobs[at];
+        const auto& expected = ref.jobs[at == 3 * d ? 2 * d : 2 * d + 1];
+        EXPECT_TRUE(survivor.status.ok())
+            << "threads=" << threads << " job " << at << ": "
+            << survivor.status.error;
+        EXPECT_EQ(dse::format_sweep(survivor.result),
+                  dse::format_sweep(expected.result))
+            << "threads=" << threads << " job " << at;
+        EXPECT_EQ(dse::format_pareto(survivor.result),
+                  dse::format_pareto(expected.result))
+            << "threads=" << threads << " job " << at;
+      }
+    }
+  }
+}
+
 TEST(FailureDomains, ExploreRethrowsTheOriginalException) {
   // Single-job calls keep the legacy contract: the evaluation's own
   // exception type and message, not a wrapper.

@@ -2,14 +2,17 @@
 // scheduler built on it: worker-index pinning (the per-worker arena
 // contract), batch semantics and exception propagation, campaign output
 // byte-identity across thread counts, flattened-vs-job-by-job parity,
-// and a sanitizer hammer (two sessions sharing one cache_override while
-// each reuses its pool across explore/tune/campaign) for TSan CI runs.
+// one lowering per design across a campaign's devices, and a sanitizer
+// hammer (two sessions sharing one cache_override while each reuses its
+// pool across explore/tune/campaign) for TSan CI runs.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <regex>
 #include <set>
 #include <stdexcept>
@@ -317,6 +320,174 @@ TEST(CampaignScheduling, RunAcceptsACacheOverride) {
   EXPECT_EQ(uncached.cache_stats.lookups(), 0u);
   EXPECT_EQ(dse::format_sweep(uncached.jobs[0].result),
             dse::format_sweep(cold.jobs[0].result));
+}
+
+// --------------------------------------------------------------------------
+// Cross-device design sharing
+// --------------------------------------------------------------------------
+
+/// How often a campaign materialized each design: lower() calls per
+/// variant key, plus the key-less calls.
+struct LowerCounts {
+  std::mutex mu;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, int> by_key;
+  int keyless{0};
+};
+
+/// Forwards to a real lowerer and counts its lower() calls. With
+/// `keyed == false` it promises no key, like dse::FnLowerer.
+class CountingLowerer final : public dse::Lowerer {
+ public:
+  CountingLowerer(std::shared_ptr<const dse::Lowerer> real,
+                  std::shared_ptr<LowerCounts> counts, bool keyed)
+      : real_(std::move(real)), counts_(std::move(counts)), keyed_(keyed) {}
+
+  [[nodiscard]] std::optional<dse::VariantKey> key(
+      const frontend::Variant& v) const override {
+    if (!keyed_) return std::nullopt;
+    return real_->key(v);
+  }
+  [[nodiscard]] ir::Module lower(const frontend::Variant& v,
+                                 ir::BuildArena* arena) const override {
+    {
+      std::lock_guard<std::mutex> lock(counts_->mu);
+      if (keyed_) {
+        const dse::VariantKey k = *real_->key(v);
+        ++counts_->by_key[{k.key, k.check}];
+      } else {
+        ++counts_->keyless;
+      }
+    }
+    return real_->lower(v, arena);
+  }
+
+ private:
+  std::shared_ptr<const dse::Lowerer> real_;
+  std::shared_ptr<LowerCounts> counts_;
+  bool keyed_;
+};
+
+void add_three_devices(dse::Session& session) {
+  for (const char* name : {"fig15", "stratix-v-gsd8", "virtex7-690t"}) {
+    session.add_device(*target::preset(name));
+  }
+}
+
+/// sor and hotspot on each of three devices, a key-less lavamd job on two
+/// of them, and two repeats. Every lowerer counts into `counts`.
+dse::Campaign three_device_campaign(const dse::Session& session,
+                                   const std::shared_ptr<LowerCounts>& counts) {
+  dse::Campaign campaign;
+  auto add = [&](const char* kernel, std::uint32_t nd,
+                 const std::string& device, bool keyed) {
+    auto job = Registry::instance().make_job(kernel, nd);
+    EXPECT_TRUE(job.ok()) << job.error_message();
+    dse::Job j = std::move(job).take();
+    j.lower = std::make_shared<CountingLowerer>(j.lower, counts, keyed);
+    j.device = device;
+    campaign.jobs.push_back(std::move(j));
+  };
+  const auto& devices = session.device_names();
+  for (const std::string& device : devices) {
+    add("sor", 8, device, true);
+    add("hotspot", 12, device, true);
+  }
+  add("lavamd", 48, devices[0], false);
+  add("lavamd", 48, devices[1], false);
+  add("sor", 8, devices[0], true);      // repeat of job 0
+  add("hotspot", 12, devices[2], true);  // repeat of job 5
+  return campaign;
+}
+
+TEST(CampaignScheduling, ThreeDeviceCampaignLowersEachDesignOnce) {
+#ifdef NDEBUG
+  constexpr int kCrossCheckLowerings = 0;
+#else
+  // Debug builds re-lower each variant-key hit once to cross-check it.
+  constexpr int kCrossCheckLowerings = 1;
+#endif
+  for (const std::uint32_t threads : {1u, 2u, 8u}) {
+    dse::Session session(threaded(threads));
+    add_three_devices(session);
+    const auto counts = std::make_shared<LowerCounts>();
+    const dse::CampaignResult result =
+        session.run(three_device_campaign(session, counts));
+    ASSERT_EQ(result.jobs.size(), 10u);
+    ASSERT_EQ(result.degraded(), 0u);
+
+    // Wave 1 lowers each keyed design once for all three devices; the
+    // wave-2 repeats (jobs 8 and 9, whose designs are exactly sor 8 and
+    // hotspot 12) answer at the variant-key level without lowering.
+    const std::size_t keyed_designs = result.jobs[0].result.entries.size() +
+                                      result.jobs[1].result.entries.size();
+    EXPECT_EQ(counts->by_key.size(), keyed_designs) << "threads=" << threads;
+    for (const auto& [key, calls] : counts->by_key) {
+      EXPECT_EQ(calls, 1 + kCrossCheckLowerings) << "threads=" << threads;
+    }
+    // Key-less variants are one-target designs: lowered once per job.
+    EXPECT_EQ(counts->keyless,
+              static_cast<int>(result.jobs[6].result.entries.size() +
+                               result.jobs[7].result.entries.size()))
+        << "threads=" << threads;
+
+    // Sharing the lowering leaves per-device accounting alone: every
+    // first-seen job misses once per variant, every repeat hits.
+    for (std::size_t j = 0; j < 8; ++j) {
+      const auto& r = result.jobs[j].result;
+      EXPECT_EQ(r.cache_stats.misses, r.entries.size())
+          << "threads=" << threads << " job " << j;
+      EXPECT_EQ(r.cache_stats.hits, 0u);
+    }
+    for (const std::size_t j : {std::size_t{8}, std::size_t{9}}) {
+      const auto& r = result.jobs[j].result;
+      EXPECT_EQ(r.cache_stats.variant_hits, r.entries.size())
+          << "threads=" << threads << " job " << j;
+      EXPECT_EQ(r.cache_stats.misses, 0u);
+    }
+  }
+}
+
+TEST(CampaignScheduling, ThreeDeviceCampaignMatchesAcrossThreadsAndJobByJob) {
+  const auto counts = std::make_shared<LowerCounts>();
+  dse::Session base(threaded(1));
+  add_three_devices(base);
+  const dse::Campaign campaign = three_device_campaign(base, counts);
+  const dse::CampaignResult expected = base.run(campaign);
+  const std::string expected_table = dse::format_campaign(expected);
+  const std::string expected_pareto = dse::format_campaign_pareto(expected);
+  const std::string expected_json =
+      scrub_seconds(dse::format_campaign_json(expected));
+
+  for (const std::uint32_t threads : {2u, 8u}) {
+    dse::Session session(threaded(threads));
+    add_three_devices(session);
+    const dse::CampaignResult result = session.run(campaign);
+    EXPECT_EQ(dse::format_campaign(result), expected_table)
+        << "threads=" << threads;
+    EXPECT_EQ(dse::format_campaign_pareto(result), expected_pareto)
+        << "threads=" << threads;
+    EXPECT_EQ(scrub_seconds(dse::format_campaign_json(result)), expected_json)
+        << "threads=" << threads;
+  }
+
+  // The same jobs explored one at a time through an identical session
+  // render the same campaign, stats included.
+  dse::Session serial(threaded(4));
+  add_three_devices(serial);
+  dse::CampaignResult by_job;
+  for (const dse::Job& job : campaign.jobs) {
+    dse::CampaignJobResult jr;
+    jr.job = job;
+    jr.result = serial.explore(job);
+    by_job.cache_stats.hits += jr.result.cache_stats.hits;
+    by_job.cache_stats.misses += jr.result.cache_stats.misses;
+    by_job.cache_stats.variant_hits += jr.result.cache_stats.variant_hits;
+    by_job.jobs.push_back(std::move(jr));
+  }
+  by_job.pareto = dse::merged_frontier(by_job.jobs);
+  EXPECT_EQ(dse::format_campaign(by_job), expected_table);
+  EXPECT_EQ(dse::format_campaign_pareto(by_job), expected_pareto);
+  EXPECT_EQ(scrub_seconds(dse::format_campaign_json(by_job)), expected_json);
 }
 
 // --------------------------------------------------------------------------
